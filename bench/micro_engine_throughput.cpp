@@ -155,7 +155,7 @@ HotPathResult measure_hot_path_once(std::size_t nodes, double horizon_s, int wor
   }
   engine.attach_app(app, mapping);
 
-  ControlBank bank{nodes, rack.fleet() != nullptr ? rack.fleet()->sensor_last_data() : nullptr};
+  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};
@@ -233,7 +233,7 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
   engine_cfg.horizon = Seconds{static_cast<double>(steps) * engine_cfg.physics_dt.value()};
   cluster::Engine engine{rack, engine_cfg};
 
-  ControlBank bank{nodes, rack.fleet() != nullptr ? rack.fleet()->sensor_last_data() : nullptr};
+  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};
@@ -278,10 +278,8 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
   p.wall_s = wall;
   p.steps_per_sec = static_cast<double>(p.steps) / wall;
   p.node_steps_per_sec = p.steps_per_sec * static_cast<double>(nodes);
-  if (rack.fleet() != nullptr) {
-    p.fleet_bytes_per_node =
-        static_cast<double>(rack.fleet()->memory_bytes()) / static_cast<double>(nodes);
-  }
+  p.fleet_bytes_per_node =
+      static_cast<double>(rack.fleet()->memory_bytes()) / static_cast<double>(nodes);
   if (rss_after > rss_before) {
     p.rss_bytes_per_node =
         static_cast<double>(rss_after - rss_before) / static_cast<double>(nodes);

@@ -101,7 +101,7 @@ Outcome run_scale(std::size_t nodes, bool quality) {
     }
   }
 
-  ControlBank bank{nodes, rack.fleet() != nullptr ? rack.fleet()->sensor_last_data() : nullptr};
+  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};
@@ -125,10 +125,8 @@ Outcome run_scale(std::size_t nodes, bool quality) {
   o.sim_rate = run.times.back() / std::max(wall_s, 1e-9);
   o.node_steps_per_sec = run.times.back() / engine_cfg.physics_dt.value() *
                          static_cast<double>(nodes) / std::max(wall_s, 1e-9);
-  if (rack.fleet() != nullptr) {
-    o.bytes_per_node =
-        static_cast<double>(rack.fleet()->memory_bytes()) / static_cast<double>(nodes);
-  }
+  o.bytes_per_node =
+      static_cast<double>(rack.fleet()->memory_bytes()) / static_cast<double>(nodes);
   return o;
 }
 

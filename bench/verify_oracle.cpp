@@ -1,9 +1,11 @@
 // verify_oracle — the differential determinism oracle as a CI gate.
 //
 // Generates a seeded corpus of small experiment configs and runs each one
-// under the three paired configurations the runtime promises are inert
-// (serial vs parallel sweep, telemetry on vs off, fault-aware gating on a
-// zero-fault run), diffing every behavioural output bit-exactly. Exits
+// under the seven pairings the runtime promises are inert (serial vs
+// parallel sweep, telemetry on vs off, fault-aware gating on a zero-fault
+// run, sharded vs serial engine, passive vs detached control plane, live
+// telemetry on vs off, a command-free daemon vs the plain engine), diffing
+// every behavioural output bit-exactly. Exits
 // non-zero on the first report with failures so CI fails loudly; the
 // printed report carries the corpus seed and config index needed to replay
 // a failing pair locally.
@@ -49,6 +51,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(seed));
     return 1;
   }
-  std::printf("  all %zu pairs bit-identical\n", report.pairs_checked);
+  std::printf("  all %zu pairs (%zu pairings x %zu configs) bit-identical\n",
+              report.pairs_checked,
+              report.configs > 0 ? report.pairs_checked / report.configs : 0, report.configs);
   return 0;
 }

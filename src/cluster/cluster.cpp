@@ -4,13 +4,11 @@
 
 namespace thermctl::cluster {
 
-Cluster::Cluster(std::size_t count, const NodeParams& base, bool batched) {
+Cluster::Cluster(std::size_t count, const NodeParams& base) {
   THERMCTL_ASSERT(count > 0, "cluster needs at least one node");
-  if (batched) {
-    // All nodes are built from one base params, so the fleet is homogeneous
-    // by construction and every node can view the shared batch.
-    fleet_ = std::make_unique<FleetState>(base.package, count);
-  }
+  // All nodes are built from one base params, so the fleet is homogeneous by
+  // construction and every node can view the shared batch.
+  fleet_ = std::make_unique<FleetState>(base.package, count);
   nodes_.reserve(count);
   raw_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -20,11 +18,9 @@ Cluster::Cluster(std::size_t count, const NodeParams& base, bool batched) {
     raw_.push_back(nodes_.back().get());
     ipmi_.attach(static_cast<int>(i), &nodes_.back()->bmc());
   }
-  if (fleet_ != nullptr) {
-    // Every node above shares `base`'s hardware constants (only the noise
-    // seed differs), so one sweep can batch the whole rack's device/OS work.
-    sweep_ = std::make_unique<FleetSweep>(*fleet_, base, raw_);
-  }
+  // Every node above shares `base`'s hardware constants (only the noise seed
+  // differs), so one sweep can batch the whole rack's device/OS work.
+  sweep_ = std::make_unique<FleetSweep>(*fleet_, base, raw_);
 }
 
 void Cluster::set_inlet_temperature(std::size_t i, Celsius t) {

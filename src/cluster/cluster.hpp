@@ -1,9 +1,10 @@
 // A rack of simulated nodes plus their shared management plane.
 //
-// Owns the Node instances, the IPMI network connecting their BMCs, and the
-// rack's ambient model (a per-node inlet temperature that experiments can
-// perturb to create hot spots, the motivating phenomenon of the paper's
-// introduction).
+// Owns the shared FleetState (SoA hot state + batched RC solver), the Node
+// views over it, the FleetSweep that steps them as contiguous array passes,
+// the IPMI network connecting their BMCs, and the rack's ambient model (a
+// per-node inlet temperature that experiments can perturb to create hot
+// spots, the motivating phenomenon of the paper's introduction).
 #pragma once
 
 #include <functional>
@@ -19,11 +20,9 @@ namespace thermctl::cluster {
 
 class Cluster {
  public:
-  /// Builds `count` nodes from `base`, giving each a distinct seed. By
-  /// default the nodes share a FleetState (SoA hot state + batched RC
-  /// solver); `batched = false` builds the historical per-node-object layout
-  /// instead — trajectories are bit-identical either way.
-  Cluster(std::size_t count, const NodeParams& base, bool batched = true);
+  /// Builds `count` nodes from `base`, giving node i the seed
+  /// `base.seed + i * 7919`. The nodes are views over one shared FleetState.
+  Cluster(std::size_t count, const NodeParams& base);
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] Node& node(std::size_t i) {
@@ -37,14 +36,13 @@ class Cluster {
   /// Unchecked flat node-pointer array for the engine's hot loops.
   [[nodiscard]] const std::vector<Node*>& raw_nodes() const { return raw_; }
 
-  /// The shared SoA state, or nullptr for a per-node-object cluster.
+  /// The shared SoA state (never null).
   [[nodiscard]] FleetState* fleet() { return fleet_.get(); }
   [[nodiscard]] const FleetState* fleet() const { return fleet_.get(); }
 
-  /// The batched device/OS sweep over the fleet arrays, or nullptr for a
-  /// per-node-object cluster. Built only for the homogeneous batched layout;
-  /// the engine falls back to per-node stepping without it.
-  [[nodiscard]] FleetSweep* sweep() { return sweep_.get(); }
+  /// The batched device/OS sweep over the fleet arrays — how the engine
+  /// steps every node.
+  [[nodiscard]] FleetSweep& sweep() { return *sweep_; }
 
   [[nodiscard]] sysfs::IpmiNetwork& ipmi() { return ipmi_; }
 
@@ -61,7 +59,7 @@ class Cluster {
   std::unique_ptr<FleetState> fleet_;  // must outlive the nodes viewing it
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> raw_;
-  std::unique_ptr<FleetSweep> sweep_;  // batched layout only
+  std::unique_ptr<FleetSweep> sweep_;
   sysfs::IpmiNetwork ipmi_;
 };
 

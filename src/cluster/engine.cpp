@@ -65,11 +65,7 @@ void Engine::set_node_load_fn(std::size_t i, std::function<Utilization(SimTime)>
   node_loads_[i] = std::move(load);
 }
 
-void Engine::set_fleet_load_fn(FleetLoadFn load) {
-  THERMCTL_ASSERT(cluster_.fleet() != nullptr,
-                  "the fleet load hook requires the SoA cluster layout");
-  fleet_load_ = std::move(load);
-}
+void Engine::set_fleet_load_fn(FleetLoadFn load) { fleet_load_ = std::move(load); }
 
 void Engine::attach_room(RoomModel& room) {
   THERMCTL_ASSERT(room.node_count() == cluster_.size(), "room sized for a different rack");
@@ -172,79 +168,35 @@ ActivityCode Engine::activity_of_node(std::size_t i) const {
 
 void Engine::record_sample() {
   recorder_.stamp(now_.seconds());
-  FleetSweep* sweep = cluster_.sweep();
-  if (sweep != nullptr) {
-    // Fast path: every recorded field is fleet-resident (or, for the wall
-    // watts, resolved by the sweep with Node::wall_power()'s exact memo
-    // semantics), so the recording loop streams arrays instead of walking
-    // Node objects.
-    FleetState* fleet = cluster_.fleet();
-    const double* die = sweep->die_temp_row();
-    const double* sensor = fleet->sensor_last_data();
-    const double* duty = fleet->fan_duty_data();
-    const double* rpm = fleet->fan_rpm_data();
-    const double* util = fleet->util_data();
-    for (std::size_t i = 0; i < cluster_.size(); ++i) {
-      recorder_.sample(now_.seconds(), i, die[i], sensor[i], duty[i], rpm[i],
-                       sweep->nominal_freq_ghz(i), sweep->wall_power_w(i), util[i],
-                       activity_of_node(i));
-    }
-    return;
-  }
+  // Every recorded field is fleet-resident (or, for the wall watts, resolved
+  // by the sweep with Node::wall_power()'s exact memo semantics), so the
+  // recording loop streams arrays instead of walking Node objects.
+  FleetSweep& sweep = cluster_.sweep();
+  FleetState* fleet = cluster_.fleet();
+  const double* die = sweep.die_temp_row();
+  const double* sensor = fleet->sensor_last_data();
+  const double* duty = fleet->fan_duty_data();
+  const double* rpm = fleet->fan_rpm_data();
+  const double* util = fleet->util_data();
   for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    Node& n = cluster_.node(i);
-    recorder_.sample(now_.seconds(), i, n.die_temperature().value(),
-                     n.sensor_reading().value(), n.fan().duty().percent(), n.fan().rpm().value(),
-                     n.cpu().frequency().value(), n.wall_power().value(),
-                     n.utilization().fraction(), activity_of_node(i));
+    recorder_.sample(now_.seconds(), i, die[i], sensor[i], duty[i], rpm[i],
+                     sweep.nominal_freq_ghz(i), sweep.wall_power_w(i), util[i],
+                     activity_of_node(i));
   }
 }
 
 std::uint64_t Engine::step_shard(std::size_t begin, std::size_t end, Seconds dt,
                                  SimTime after) {
-  Node* const* nodes = cluster_.raw_nodes().data();
-  FleetState* fleet = cluster_.fleet();
-  FleetSweep* sweep = cluster_.sweep();
-
-  // Fast path: batched device/OS sweep over the fleet's SoA arrays — the
-  // same arithmetic in the same per-node order as the object walk below,
-  // just executed as contiguous array passes (bit-identical; the oracle's
-  // batched-vs-per-node pairing enforces it).
-  if (sweep != nullptr) {
-    sweep->pre_range(begin, end, dt);
-    fleet->batch().step_range(dt, begin, end);
-    sweep->post_range(begin, end, dt);
-    return sweep->sample_range(begin, end, after);
-  }
-
-  // Physics: device/OS work per node, with the RC solve batched over the
-  // shard's contiguous SoA slice when a fleet is present. Interleaving
-  // per-node phases this way is bit-identical to sequential Node::step()
-  // calls because each phase only touches its own node's state.
-  for (std::size_t i = begin; i < end; ++i) {
-    nodes[i]->step_pre_thermal(dt);
-  }
-  if (fleet != nullptr) {
-    fleet->batch().step_range(dt, begin, end);
-  } else {
-    for (std::size_t i = begin; i < end; ++i) {
-      nodes[i]->package().step(dt);
-    }
-  }
-  for (std::size_t i = begin; i < end; ++i) {
-    nodes[i]->step_post_thermal(dt);
-  }
-
-  // Sensor sampling (per node, on its own schedule). Counted locally; the
-  // caller reduces shard counts in shard order so metrics stay deterministic.
-  std::uint64_t samples = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    while (nodes[i]->sample_schedule().due(after)) {
-      nodes[i]->sample_sensor();
-      ++samples;
-    }
-  }
-  return samples;
+  // Device/OS pre-pass, the batched RC solve over the shard's contiguous SoA
+  // slice, the post-pass, then sensor sampling on each node's own schedule.
+  // Every pass only touches its own nodes' state, so shards never race.
+  // Samples are counted locally; the caller reduces shard counts in shard
+  // order so metrics stay deterministic.
+  FleetSweep& sweep = cluster_.sweep();
+  sweep.pre_range(begin, end, dt);
+  cluster_.fleet()->batch().step_range(dt, begin, end);
+  sweep.post_range(begin, end, dt);
+  return sweep.sample_range(begin, end, after);
 }
 
 RunResult Engine::run() {
@@ -262,6 +214,10 @@ RunResult Engine::run() {
   const Seconds dt = config_.physics_dt;
   const std::size_t node_count = cluster_.size();
   Node* const* nodes = cluster_.raw_nodes().data();
+  // Node::set_utilization is `util = halted ? 0 : u` over these fleet rows;
+  // the load fill writes them directly instead of bouncing through Nodes.
+  double* util = cluster_.fleet()->util_data();
+  const std::uint8_t* halted = cluster_.fleet()->halted_data();
   const std::size_t shards = resolved_workers();
   if (shards > 1 && pool_ == nullptr) {
     // Pool threads only run step_shard on disjoint node ranges; the barrier
@@ -315,30 +271,15 @@ RunResult Engine::run() {
         completion = app_->completion_time();
       }
     }
-    if (FleetState* fleet = cluster_.fleet(); fleet != nullptr) {
-      // Fast path: Node::set_utilization on a fleet-backed node is
-      // `util = halted ? 0 : u` over fleet-resident scalars — write the
-      // arrays directly instead of bouncing through every Node object.
-      double* util = fleet->util_data();
-      const std::uint8_t* halted = fleet->halted_data();
-      if (fleet_load_) {
-        // One batched call fills the row; per-node functions override below.
-        fleet_load_(now_, util, halted, node_count);
-      }
-      for (std::size_t i = 0; i < node_count; ++i) {
-        if (node_loads_[i]) {
-          util[i] = halted[i] != 0 ? 0.0 : node_loads_[i](now_).fraction();
-        } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
-          util[i] = halted[i] != 0 ? 0.0 : 0.02;  // job exited
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < node_count; ++i) {
-        if (node_loads_[i]) {
-          nodes[i]->set_utilization(node_loads_[i](now_));
-        } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
-          nodes[i]->set_utilization(Utilization{0.02});  // job exited
-        }
+    if (fleet_load_) {
+      // One batched call fills the row; per-node functions override below.
+      fleet_load_(now_, util, halted, node_count);
+    }
+    for (std::size_t i = 0; i < node_count; ++i) {
+      if (node_loads_[i]) {
+        util[i] = halted[i] != 0 ? 0.0 : node_loads_[i](now_).fraction();
+      } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
+        util[i] = halted[i] != 0 ? 0.0 : 0.02;  // job exited
       }
     }
 
@@ -381,15 +322,10 @@ RunResult Engine::run() {
     // heat the room too, so a settled room drifted away from its own
     // steady state the moment the engine started stepping it.)
     if (room_ != nullptr) {
+      FleetSweep& sweep = cluster_.sweep();
       double rack_watts = 0.0;
-      if (FleetSweep* sweep = cluster_.sweep(); sweep != nullptr) {
-        for (std::size_t i = 0; i < node_count; ++i) {
-          rack_watts += sweep->wall_power_w(i);  // == Node::wall_power()
-        }
-      } else {
-        for (std::size_t i = 0; i < node_count; ++i) {
-          rack_watts += nodes[i]->wall_power().value();
-        }
+      for (std::size_t i = 0; i < node_count; ++i) {
+        rack_watts += sweep.wall_power_w(i);  // == Node::wall_power()
       }
       room_->step(dt, Watts{rack_watts});
       for (std::size_t i = 0; i < node_count; ++i) {

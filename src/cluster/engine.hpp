@@ -15,16 +15,20 @@
 // when the app completes (its completion time is the experiment's execution
 // time) or at the horizon.
 //
+// Physics has one layout: each step runs the cluster's FleetSweep passes and
+// the batched RC solve over the FleetState SoA arrays, and loads, recording
+// and the room's power sum read and write those arrays directly — no
+// per-node object walk.
+//
 // Sharding: with `workers > 1` the per-node physics + sensor-sampling phase
-// of each step is partitioned into contiguous node shards executed on a
-// ThreadPool, BSP style — one barrier per step, placed exactly at the
-// coupling points. Everything that couples nodes (app stepping before the
-// shard phase; the room/ambient power reduction, control plane, controllers
-// and metrics after the barrier) runs serially in node/registration order,
-// and per-shard sample
-// counters are reduced in shard order, so a sharded run is bit-identical to
-// the serial engine (asserted by the differential oracle's
-// sharded-vs-serial pairs).
+// of each step is partitioned into contiguous node shards (contiguous SoA
+// slices) executed on a ThreadPool, BSP style — one barrier per step, placed
+// exactly at the coupling points. Everything that couples nodes (app
+// stepping before the shard phase; the room/ambient power reduction, control
+// plane, controllers and metrics after the barrier) runs serially in
+// node/registration order, and per-shard sample counters are reduced in
+// shard order, so a sharded run is bit-identical to the serial engine
+// (asserted by the differential oracle's sharded-vs-serial pairs).
 // Thread-safety: an Engine (and the Cluster/app it drives) belongs to one
 // thread. The first call to run() binds the engine to the calling thread and
 // any later run() from a different thread trips a THERMCTL_ASSERT — catching
@@ -88,8 +92,7 @@ class Engine {
   /// std::function dispatches (at 100k nodes the per-node hops cost more
   /// than the RC solve). The callback must write
   /// `util[i] = halted[i] != 0 ? 0.0 : <fraction in [0, 1]>` for every i.
-  /// Requires the fleet-backed (SoA) cluster layout; per-node load functions
-  /// still override individual nodes afterwards.
+  /// Per-node load functions still override individual nodes afterwards.
   using FleetLoadFn =
       std::function<void(SimTime, double* util, const std::uint8_t* halted, std::size_t count)>;
   void set_fleet_load_fn(FleetLoadFn load);

@@ -13,15 +13,16 @@
 //   * the CPU operating point and counter block (CpuDevice::bind_state);
 //   * the fan chip's latched measurement registers (Adt7467::bind_state);
 //   * meter integrals, jiffy counters, protection state, sampling schedules —
-//     everything Node::step_pre/post_thermal touches every physics step.
+//     everything Node::step touches every physics step.
 //
 // Node/Cluster keep their exact APIs: each Node's PackageModel becomes a view
 // onto one batch column, and its devices rebind their state pointers into the
 // arrays. Controllers, sysfs, and tests are untouched, and trajectories stay
-// bit-identical to the per-node layout (RcBatch contract). The payoff is the
-// engine's hot loop: one vectorized RcBatch::step_range call advances the
-// whole fleet's thermals, and FleetSweep runs the per-node device/OS phases
-// as contiguous array passes instead of N object-graph walks.
+// bit-identical to a standalone Node stepped by Node::step (RcBatch and
+// FleetSweep contracts). The payoff is the engine's hot loop: one vectorized
+// RcBatch::step_range call advances the whole fleet's thermals, and
+// FleetSweep runs the per-node device/OS phases as contiguous array passes
+// instead of N object-graph walks.
 #pragma once
 
 #include <cstddef>

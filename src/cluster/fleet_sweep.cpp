@@ -122,8 +122,8 @@ void FleetSweep::pre_range(std::size_t begin, std::size_t end, Seconds dt) {
   THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
   const double dtv = dt.value();
 
-  // Pass 1 — utilization and die-temperature latch (Node::step_pre_thermal's
-  // first block: halted zeroing, CpuDevice::set_utilization /
+  // Pass 1 — utilization and die-temperature latch (Node::step's first
+  // block: halted zeroing, CpuDevice::set_utilization /
   // set_die_temperature, which invalidate the power memo).
   for (std::size_t i = begin; i < end; ++i) {
     if (halted_[i] != 0) {
@@ -160,7 +160,7 @@ void FleetSweep::pre_range(std::size_t begin, std::size_t end, Seconds dt) {
   // Pass 3 — CPU power into the thermal batch (PackageModel::set_cpu_power).
   // The memo was invalidated in pass 1, so live nodes recompute exactly like
   // CpuDevice::power(); a halted node feeds the 2 W trickle and leaves its
-  // memo invalid, as Node::step_pre_thermal does by never calling power().
+  // memo invalid, as Node::step does by never calling power().
   for (std::size_t i = begin; i < end; ++i) {
     die_power_[i] = (halted_[i] != 0) ? 2.0 : cpu_power_w(i);
   }
@@ -210,7 +210,7 @@ void FleetSweep::post_range(std::size_t begin, std::size_t end, Seconds dt) {
 
   // Pass 3 — meter integration + hardware counters (PowerMeter::
   // integrate_with, CpuDevice::advance_counters). cpu_power_w resolves the
-  // memo exactly like the object path: valid from pre for live nodes,
+  // memo exactly like Node::step: valid from pre for live nodes,
   // recomputed here for halted ones (whose pre phase skipped power()).
   for (std::size_t i = begin; i < end; ++i) {
     const double p_cpu = cpu_power_w(i);
@@ -239,8 +239,8 @@ void FleetSweep::post_range(std::size_t begin, std::size_t end, Seconds dt) {
   }
 
   // Pass 4 — PROCHOT accounting, the protection ladder and jiffy accounting
-  // (Node::step_post_thermal's tail). prochot_seconds accrues on the
-  // *pre-protection* throttle state, exactly as in the object path.
+  // (Node::step's tail). prochot_seconds accrues on the
+  // *pre-protection* throttle state, exactly as in Node::step.
   for (std::size_t i = begin; i < end; ++i) {
     if (throttled_[i] != 0) {
       prochot_seconds_[i] += dtv;

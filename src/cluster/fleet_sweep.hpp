@@ -1,30 +1,32 @@
 // Batched per-node device/OS sweep over FleetState's SoA arrays.
 //
-// PR 5 batched the RC physics (RcBatch), but the per-step device/OS work —
+// RcBatch batches the RC physics, but the per-step device/OS work —
 // utilization latching, fan rotor dynamics, the CPU power model, the fan
 // chip's measurement protocol, meter integration, counter advance, the
-// protection ladder, jiffy accounting and the sensor sampling schedule — was
-// still an object-graph walk per node. At fleet scale those walks dominate:
+// protection ladder, jiffy accounting and the sensor sampling schedule — is
+// an object-graph walk per node in Node::step. At fleet scale such walks
+// dominate:
 // each Node's scalars sit on their own cache lines, so 100k nodes per step
 // touch 100k scattered objects. With every hot field now fleet-resident
 // (bind_state across CpuDevice/FanDevice/Adt7467/PowerMeter/ThermalSensor/
-// PackageModel/Node), FleetSweep replays Node::step_pre_thermal /
-// step_post_thermal / sampling as contiguous array passes.
+// PackageModel/Node), FleetSweep replays Node::step (split at the RC solve)
+// and the sensor sampling schedule as contiguous array passes. It is the
+// only way the engine steps a cluster.
 //
 // Bit-exactness contract: for every node, the sweep performs the *same
-// arithmetic in the same per-node order* as Node's methods — it reads and
-// writes the very same storage the Node objects are bound to, so the two
-// paths are interchangeable mid-run. Cross-node reordering (pass-at-a-time
-// instead of node-at-a-time) is safe because the pre/post phases only touch
-// their own node's state; the differential oracle's batched-vs-per-node
-// pairing holds this to bitwise identity.
+// arithmetic in the same per-node order* as Node::step — it reads and writes
+// the very same storage the Node objects are bound to. Cross-node reordering
+// (pass-at-a-time instead of node-at-a-time) is safe because the pre/post
+// passes only touch their own node's state. The FleetState unit tests hold
+// the sweep to bitwise identity with standalone Nodes stepped by
+// Node::step, and the golden-digest tests pin the whole rig's behaviour.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
 // the register object, and a due sensor schedule samples through the node's
-// ThermalSensor (per-node RNG). Heterogeneous fleets never build a sweep —
-// Cluster only constructs one for the homogeneous batched layout, and the
-// engine falls back to per-node stepping otherwise.
+// ThermalSensor (per-node RNG). The sweep caches one NodeParams' constants,
+// so it requires a homogeneous fleet — which Cluster guarantees by building
+// every node from one base params.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +48,12 @@ class FleetSweep {
   /// built from — the sweep caches the shared constants once.
   FleetSweep(FleetState& fleet, const NodeParams& base, const std::vector<Node*>& nodes);
 
-  /// Node::step_pre_thermal for slots [begin, end): utilization/die latch,
-  /// fan rotor step, CPU power into the batch, airflow → convection.
+  /// Node::step up to the RC solve, for slots [begin, end): utilization/die
+  /// latch, fan rotor step, CPU power into the batch, airflow → convection.
   void pre_range(std::size_t begin, std::size_t end, Seconds dt);
 
-  /// Node::step_post_thermal for slots [begin, end): chip protocol, meter,
-  /// counters, PROCHOT/THERMTRIP ladder, jiffy accounting.
+  /// Node::step after the RC solve, for slots [begin, end): chip protocol,
+  /// meter, counters, PROCHOT/THERMTRIP ladder, jiffy accounting.
   void post_range(std::size_t begin, std::size_t end, Seconds dt);
 
   /// The engine's per-node sensor sampling loop over the contiguous schedule

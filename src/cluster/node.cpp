@@ -118,7 +118,7 @@ void Node::apply_protection(Celsius die) {
   }
 }
 
-void Node::step_pre_thermal(Seconds dt) {
+void Node::step(Seconds dt) {
   THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
   if (halted()) {
     *util_ = 0.0;
@@ -134,9 +134,9 @@ void Node::step_pre_thermal(Seconds dt) {
 
   package_.set_cpu_power(halted() ? Watts{2.0} : cpu_.power());  // halted: trickle
   package_.set_airflow(fan_.airflow());
-}
 
-void Node::step_post_thermal(Seconds dt) {
+  package_.step(dt);
+
   const Celsius die = package_.die_temperature();
 
   // The chip continuously tracks its remote diode and tach inputs.
@@ -160,12 +160,6 @@ void Node::step_post_thermal(Seconds dt) {
   *total_jiffies_ += total_whole;
   *jiffy_remainder_busy_ -= static_cast<double>(busy_whole);
   *jiffy_remainder_total_ -= static_cast<double>(total_whole);
-}
-
-void Node::step(Seconds dt) {
-  step_pre_thermal(dt);
-  package_.step(dt);
-  step_post_thermal(dt);
 }
 
 void Node::settle() {

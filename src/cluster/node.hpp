@@ -81,16 +81,11 @@ class Node {
   void set_utilization(Utilization u);
   [[nodiscard]] Utilization utilization() const { return Utilization{*util_}; }
 
-  /// Advances devices, thermal model, protection and meters by `dt`.
+  /// Advances devices, thermal model, protection and meters by `dt`. The
+  /// single-node API, and the reference arithmetic FleetSweep's batched
+  /// passes reproduce bit-for-bit (the engine steps clusters through the
+  /// sweep, never through this).
   void step(Seconds dt);
-
-  /// step() split at the thermal solve, so a fleet engine can run the
-  /// device/OS phases per node and the RC solve batched:
-  ///   step(dt) ≡ step_pre_thermal(dt); package().step(dt); step_post_thermal(dt)
-  /// The phases only touch this node's state, so any interleaving across
-  /// nodes is bit-identical to sequential per-node step() calls.
-  void step_pre_thermal(Seconds dt);
-  void step_post_thermal(Seconds dt);
 
   /// Takes a thermal-sensor reading (called on the 4 Hz schedule).
   Celsius sample_sensor() { return sensor_.sample(); }

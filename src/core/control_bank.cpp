@@ -7,6 +7,7 @@ namespace thermctl::core {
 ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
     : nodes_(nodes), sensor_last_(sensor_last), readings_(nodes, 0.0) {
   THERMCTL_ASSERT(nodes > 0, "bank needs at least one node");
+  THERMCTL_ASSERT(sensor_last != nullptr, "bank needs a sensor row");
   fans_.reserve(nodes);
   tdvfs_.reserve(nodes);
   unified_.reserve(nodes);
@@ -76,75 +77,24 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
   return ctl;
 }
 
-void ControlBank::tick_fans(SimTime now) {
-  const std::size_t n = fans_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fans_[i].on_sample(now);
-    }
-    return;
-  }
+template <typename Controller>
+void ControlBank::tick_family(FixedSlab<Controller>& family, SimTime now) {
+  const std::size_t n = family.size();
   for (std::size_t i = 0; i < n; ++i) {
     // Millidegree quantization exactly as the hwmon temp1_input attribute:
     // lround to long millidegrees, back to degrees.
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
+    readings_[i] = static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    fans_[i].on_sample_with(now, Celsius{readings_[i]});
+    family[i].on_sample_with(now, Celsius{readings_[i]});
   }
 }
 
-void ControlBank::tick_tdvfs(SimTime now) {
-  const std::size_t n = tdvfs_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      tdvfs_[i].on_sample(now);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    tdvfs_[i].on_sample_with(now, Celsius{readings_[i]});
-  }
-}
+void ControlBank::tick_fans(SimTime now) { tick_family(fans_, now); }
 
-void ControlBank::tick_unified(SimTime now) {
-  const std::size_t n = unified_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      unified_[i].on_sample(now);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    unified_[i].on_sample_with(now, Celsius{readings_[i]});
-  }
-}
+void ControlBank::tick_tdvfs(SimTime now) { tick_family(tdvfs_, now); }
 
-void ControlBank::stagger_windows() {
-  for (std::size_t i = 0; i < fans_.size(); ++i) {
-    TwoLevelWindow& w = fans_[i].window();
-    w.stagger(i % w.config().level1_size);
-  }
-  for (std::size_t i = 0; i < tdvfs_.size(); ++i) {
-    TwoLevelWindow& w = tdvfs_[i].window();
-    w.stagger(i % w.config().level1_size);
-  }
-  for (std::size_t i = 0; i < unified_.size(); ++i) {
-    TwoLevelWindow& wf = unified_[i].fan().window();
-    wf.stagger(i % wf.config().level1_size);
-    TwoLevelWindow& wd = unified_[i].dvfs().window();
-    wd.stagger(i % wd.config().level1_size);
-  }
-}
+void ControlBank::tick_unified(SimTime now) { tick_family(unified_, now); }
 
 bool ControlBank::fan_window_pooled(std::size_t node) const {
   return fan_pool_.sized && node < fan_pool_.pooled.size() && fan_pool_.pooled[node] != 0;

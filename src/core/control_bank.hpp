@@ -1,31 +1,25 @@
 // ControlBank — batched controller sweeps over contiguous per-node state.
 //
-// The fleet-scale profile shows the control path dominated not by control
-// *math* but by dispatch overhead: one periodic closure per node, one
-// VirtualFs round trip per sensor read, and window state scattered across
-// thousands of heap-allocated controller objects. A ControlBank owns a
-// fleet's controllers of one family (fan / tDVFS / unified) in a single
+// At fleet scale the control path is dominated not by control *math* but by
+// dispatch overhead: one periodic closure per node, one VirtualFs round trip
+// per sensor read, and window state scattered across thousands of
+// heap-allocated controller objects. A ControlBank owns a fleet's
+// controllers of one family (fan / tDVFS / unified) in a single
 // placement-new slab, rebinds every controller's TwoLevelWindow onto
 // bank-owned node-major SoA arrays, and ticks the whole family from ONE
 // periodic callback:
 //
 //   1. latch readings[i] = round(sensor_last[i] · 1000) / 1000  — exactly the
 //      millidegree quantization the hwmon temp1_input attribute performs, so
-//      the batched read is bit-identical to the per-node VFS round trip;
+//      the latched read is bit-identical to a controller's own VFS read;
 //   2. run each controller's on_sample_with(now, readings[i]) in node order —
 //      the same tick logic, same order, as N independent periodics.
 //
-// Bit-exactness against the per-node path is enforced by the differential
-// oracle's batched-vs-per-node pairing. Heterogeneous rigs (per-node window
-// configs that differ from the family's) keep per-object inline window
-// storage — correctness never depends on the SoA rebind.
-//
-// The bank also hosts the opt-in phase wheel: stagger_windows() shortens each
-// node's FIRST window round by (node mod level1_size) samples so window
-// closes — the expensive part of a controller tick — spread round-robin
-// across engine steps instead of all landing on the same tick. Deliberately
-// NOT bit-identical (the short first round averages fewer samples), hence
-// opt-in and excluded from the oracle's default corpus.
+// The unit tests hold every family tick to bit-identity with standalone
+// controllers reading hwmon temp1_input, on sensors bound into one latched
+// row. Heterogeneous rigs (per-node window configs that differ from the
+// family's) keep per-object inline window storage — correctness never
+// depends on the SoA rebind.
 #pragma once
 
 #include <cstddef>
@@ -94,9 +88,8 @@ class FixedSlab {
 class ControlBank {
  public:
   /// `sensor_last` is the fleet's node-major array of raw sensor
-  /// sample-and-hold values (FleetState::sensor_last_data()), or nullptr for
-  /// rigs without fleet SoA state — the bank then falls back to each
-  /// controller's own VFS read path (on_sample), still batching dispatch.
+  /// sample-and-hold values (FleetState::sensor_last_data()): node i's
+  /// controllers read slot i. Must not be null.
   ControlBank(std::size_t nodes, const double* sensor_last);
 
   ControlBank(const ControlBank&) = delete;
@@ -119,11 +112,6 @@ class ControlBank {
   void tick_fans(SimTime now);
   void tick_tdvfs(SimTime now);
   void tick_unified(SimTime now);
-
-  /// Phase wheel (opt-in, NOT bit-identical): staggers every emplaced
-  /// window's next round by (node mod level1_size) samples. Call once, after
-  /// emplacement; sticky across window resets.
-  void stagger_windows();
 
   [[nodiscard]] std::size_t nodes() const { return nodes_; }
   [[nodiscard]] std::size_t fan_count() const { return fans_.size(); }
@@ -154,6 +142,11 @@ class ControlBank {
   };
 
   void bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow& window);
+
+  /// Latches the first `family.size()` sensor readings, then ticks each
+  /// controller of the family in node order on its latched reading.
+  template <typename Controller>
+  void tick_family(FixedSlab<Controller>& family, SimTime now);
 
   std::size_t nodes_ = 0;
   const double* sensor_last_ = nullptr;

@@ -125,14 +125,10 @@ struct Rig {
   std::unique_ptr<cluster::Engine> engine;
   std::unique_ptr<workload::ParallelApp> app;
   std::vector<workload::SegmentLoad> loads;
-  /// Batched layout: all dynamic fan / tDVFS / unified controllers live in
-  /// one bank, ticked by one periodic per family.
+  /// All dynamic fan / tDVFS controllers live in one bank, ticked by one
+  /// periodic per family.
   std::unique_ptr<ControlBank> bank;
-  /// Per-node layout: individually heap-allocated controllers, one periodic
-  /// each (the historical reference path).
-  std::vector<std::unique_ptr<DynamicFanController>> owned_fans;
-  std::vector<std::unique_ptr<TdvfsDaemon>> owned_tdvfs;
-  /// Node i's controllers regardless of layout (into `bank` or `owned_*`).
+  /// Node i's controllers (into `bank`).
   std::vector<DynamicFanController*> fans;
   std::vector<TdvfsDaemon*> tdvfs;
   std::vector<std::unique_ptr<CpuspeedGovernor>> cpuspeed;
@@ -265,27 +261,16 @@ void build_fan_policy(Rig& rig, const ExperimentConfig& config) {
         fc.max_duty = config.max_duty;
         fc.fault_aware = config.fault_aware;
         fc.health = config.health;
-        if (rig.bank != nullptr) {
-          DynamicFanController& fan = rig.bank->emplace_fan(i, node.hwmon(), fc);
-          fan.set_trace(rig.ring(i));
-          rig.fans.push_back(&fan);
-        } else {
-          auto controller = std::make_unique<DynamicFanController>(node.hwmon(), fc);
-          controller->set_trace(rig.ring(i));
-          rig.fans.push_back(controller.get());
-          rig.owned_fans.push_back(std::move(controller));
-          DynamicFanController* raw = rig.fans.back();
-          rig.engine->add_periodic(config.node_params.sample_period,
-                                   [raw](SimTime now) { raw->on_sample(now); });
-        }
+        DynamicFanController& fan = rig.bank->emplace_fan(i, node.hwmon(), fc);
+        fan.set_trace(rig.ring(i));
+        rig.fans.push_back(&fan);
         break;
       }
     }
   }
   if (rig.bank != nullptr && rig.bank->fan_count() > 0) {
-    // One periodic sweeps the whole family in node order — registered here,
-    // where the per-node layout registers its last fan periodic, so the
-    // engine's task order is unchanged relative to the reference path.
+    // One periodic sweeps the whole family in node order, after the fault
+    // campaign's walkers and before the DVFS family.
     ControlBank* bank = rig.bank.get();
     rig.engine->add_periodic(config.node_params.sample_period,
                              [bank](SimTime now) { bank->tick_fans(now); });
@@ -303,19 +288,9 @@ void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
         tc.pp = config.pp;
         tc.fault_aware = config.fault_aware;
         tc.health = config.health;
-        if (rig.bank != nullptr) {
-          TdvfsDaemon& daemon = rig.bank->emplace_tdvfs(i, node.hwmon(), node.cpufreq(), tc);
-          daemon.set_trace(rig.ring(i));
-          rig.tdvfs.push_back(&daemon);
-        } else {
-          auto daemon = std::make_unique<TdvfsDaemon>(node.hwmon(), node.cpufreq(), tc);
-          daemon->set_trace(rig.ring(i));
-          rig.tdvfs.push_back(daemon.get());
-          rig.owned_tdvfs.push_back(std::move(daemon));
-          TdvfsDaemon* raw = rig.tdvfs.back();
-          rig.engine->add_periodic(config.node_params.sample_period,
-                                   [raw](SimTime now) { raw->on_sample(now); });
-        }
+        TdvfsDaemon& daemon = rig.bank->emplace_tdvfs(i, node.hwmon(), node.cpufreq(), tc);
+        daemon.set_trace(rig.ring(i));
+        rig.tdvfs.push_back(&daemon);
         break;
       }
       case DvfsPolicyKind::kCpuspeed: {
@@ -488,13 +463,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   Rig rig;
   cluster::NodeParams node_params = config.node_params;
   node_params.seed = config.seed;
-  const bool batched = config.control_layout == ControlLayout::kBatched;
-  rig.cluster = std::make_unique<cluster::Cluster>(config.nodes, node_params, batched);
-  if (batched &&
-      (config.fan == FanPolicyKind::kDynamic || config.dvfs == DvfsPolicyKind::kTdvfs)) {
-    cluster::FleetState* fleet = rig.cluster->fleet();
-    rig.bank = std::make_unique<ControlBank>(
-        config.nodes, fleet != nullptr ? fleet->sensor_last_data() : nullptr);
+  rig.cluster = std::make_unique<cluster::Cluster>(config.nodes, node_params);
+  if (config.fan == FanPolicyKind::kDynamic || config.dvfs == DvfsPolicyKind::kTdvfs) {
+    rig.bank = std::make_unique<ControlBank>(config.nodes,
+                                             rig.cluster->fleet()->sensor_last_data());
   }
 
   // The machine idles before the job starts: settle at near-zero load.
@@ -533,10 +505,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   build_fault_campaign(rig, config, engine_cfg.horizon, result);
   build_fan_policy(rig, config);
   build_dvfs_policy(rig, config);
-  if (config.control_phase_wheel) {
-    THERMCTL_ASSERT(rig.bank != nullptr, "phase wheel requires the batched control layout");
-    rig.bank->stagger_windows();
-  }
   build_control_plane(rig, config);
   build_live_telemetry(rig, config);
 

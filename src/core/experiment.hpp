@@ -4,6 +4,9 @@
 // workload, fan policy, DVFS policy, Pp, fan ceiling — and a runner that
 // builds the full stack (cluster → sysfs planes → controllers → engine),
 // executes it, and returns the recorded result plus controller event logs.
+// The rig has one layout: the nodes share FleetState SoA arrays stepped by
+// FleetSweep, and the dynamic fan / tDVFS controllers live in a ControlBank
+// ticked by one periodic per family from a latched sensor row.
 // Every bench, example and integration test goes through this entry point,
 // so experiment definitions stay single-sourced.
 #pragma once
@@ -47,12 +50,6 @@ enum class DvfsPolicyKind {
   kNone,
   kTdvfs,
   kCpuspeed,
-};
-
-/// Rig state layout — see ExperimentConfig::control_layout.
-enum class ControlLayout {
-  kBatched,  // FleetState SoA + FleetSweep + ControlBank family ticks
-  kPerNode,  // per-node objects, one periodic per controller (reference)
 };
 
 enum class WorkloadKind {
@@ -222,28 +219,6 @@ struct ExperimentConfig {
   cluster::NodeParams node_params{};
   cluster::EngineConfig engine{};
   std::uint64_t seed = 20260708;
-
-  /// How the rig lays out per-node simulation and control state.
-  ///
-  ///  * kBatched (default): nodes share FleetState SoA arrays swept by the
-  ///    FleetSweep fast path, and the dynamic fan / tDVFS controllers live in
-  ///    a ControlBank ticked by ONE periodic per family (batched sensor
-  ///    latch, contiguous window state).
-  ///  * kPerNode: the historical reference — per-node-object cluster, one
-  ///    heap controller and one periodic per node, every sensor read a
-  ///    VirtualFs round trip.
-  ///
-  /// The two are bit-identical by contract; the differential oracle's
-  /// kBatchedVsPerNodeControl pairing enforces it across the corpus.
-  ControlLayout control_layout = ControlLayout::kBatched;
-
-  /// Phase wheel (requires kBatched): staggers each node's first window
-  /// round by (node mod level1_size) samples so window closes — the
-  /// expensive part of a controller tick — spread round-robin across engine
-  /// steps instead of all landing on the same tick. NOT bit-identical to
-  /// synchronized windows; off by default and excluded from the oracle's
-  /// default corpus.
-  bool control_phase_wheel = false;
 
   /// Sensor-health gating for the dynamic fan and tDVFS controllers (one
   /// knob for both, like Pp). Off by default: zero-fault runs are

@@ -112,7 +112,7 @@ class TdvfsDaemon {
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
   /// The sampling window, mutable so a ControlBank can rebind its storage
-  /// into bank-owned SoA arrays (and a phase wheel can stagger it).
+  /// into bank-owned SoA arrays.
   [[nodiscard]] TwoLevelWindow& window() { return window_; }
 
  private:

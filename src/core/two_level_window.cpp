@@ -6,7 +6,6 @@ namespace thermctl::core {
 
 TwoLevelWindow::TwoLevelWindow(WindowConfig config)
     : config_(config),
-      round_size_(config.level1_size),
       inline_cells_(config.level1_size + config.level2_size, 0.0) {
   THERMCTL_ASSERT(config_.level1_size >= 2 && config_.level1_size % 2 == 0,
                   "level-one window must be even-sized and >= 2");
@@ -36,13 +35,6 @@ void TwoLevelWindow::reset() {
   *level1_fill_ = 0;
   *level2_head_ = 0;
   *level2_count_ = 0;
-  round_size_ = config_.level1_size - stagger_;
-}
-
-void TwoLevelWindow::stagger(std::size_t skip) {
-  THERMCTL_ASSERT(skip < config_.level1_size, "stagger must be < level1_size");
-  stagger_ = skip;
-  round_size_ = config_.level1_size - skip;
 }
 
 Celsius TwoLevelWindow::level2_front() const {
@@ -56,10 +48,8 @@ Celsius TwoLevelWindow::level2_rear() const {
 }
 
 std::optional<WindowRound> TwoLevelWindow::close_round() {
-  // Round complete: Δt_L1 = sum(second half) − sum(first half). A staggered
-  // first round closes short (round_size_ < level1_size); the halves and the
-  // average then cover just the samples it actually saw.
-  const std::size_t n = *level1_fill_;
+  // Round complete: Δt_L1 = sum(second half) − sum(first half).
+  const std::size_t n = config_.level1_size;
   const std::size_t half = n / 2;
   double first = 0.0;
   double second = 0.0;
@@ -93,7 +83,6 @@ std::optional<WindowRound> TwoLevelWindow::close_round() {
   }
 
   *level1_fill_ = 0;  // "cells ... cleared out for next round of sampling"
-  round_size_ = config_.level1_size;
   return round;
 }
 

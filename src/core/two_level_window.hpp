@@ -79,25 +79,15 @@ class TwoLevelWindow {
   /// caller.
   std::optional<WindowRound> add_sample(Celsius t) {
     level1_[(*level1_fill_)++] = t.value();
-    if (*level1_fill_ < round_size_) {
+    if (*level1_fill_ < config_.level1_size) {
       return std::nullopt;
     }
     return close_round();
   }
 
   /// Discards all history (e.g. after a controller mode change that makes
-  /// old samples unrepresentative). A configured stagger (see below) is
-  /// re-applied, so a staggered window stays phase-offset after resets.
+  /// old samples unrepresentative).
   void reset();
-
-  /// Phase-wheel support: shortens the *next* round to `level1_size - skip`
-  /// samples (skip in [0, level1_size)), after which rounds return to full
-  /// length. Spreading `skip` round-robin across a fleet staggers the
-  /// windows so each engine step closes only ~1/level1_size of them. NOT
-  /// bit-identical to synchronized windows — the short round averages fewer
-  /// samples — which is why it is opt-in and excluded from the differential
-  /// oracle's default pairings.
-  void stagger(std::size_t skip);
 
   [[nodiscard]] const WindowConfig& config() const { return config_; }
   [[nodiscard]] std::size_t level1_fill() const { return *level1_fill_; }
@@ -111,8 +101,6 @@ class TwoLevelWindow {
   [[nodiscard]] std::optional<WindowRound> close_round();
 
   WindowConfig config_;
-  std::size_t stagger_ = 0;    // sticky first-round shortening (phase wheel)
-  std::size_t round_size_ = 0; // samples until the current round closes
   // Hot state defaults to inline storage; bind_state() repoints it into
   // ControlBank SoA slots without changing behaviour.
   std::vector<double> inline_cells_;  // level1_size + level2_size doubles

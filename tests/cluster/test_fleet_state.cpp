@@ -1,11 +1,15 @@
 // FleetState: the SoA layout must be invisible except for the footprint.
 //
-// A batched cluster (nodes viewing FleetState arrays) and an unbatched one
-// (per-node object graphs) run the same scenario and must agree *bitwise* on
-// every observable: die temperatures, sensor readings, fan state, meters,
-// jiffy counters. The layout is a performance change, not a semantic one.
+// A Cluster (nodes viewing FleetState arrays, stepped by its FleetSweep) and
+// standalone Nodes (each owning its whole object graph, stepped by
+// Node::step) run the same scenario and must agree *bitwise* on every
+// observable: die temperatures, sensor readings, fan state, meters, jiffy
+// counters, the protection ladder. The layout is a performance change, not
+// a semantic one.
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,58 +33,122 @@ void expect_nodes_bitwise_equal(Node& a, Node& b) {
   ASSERT_EQ(bits(a.fan().rpm().value()), bits(b.fan().rpm().value()));
   ASSERT_EQ(bits(a.fan().duty().percent()), bits(b.fan().duty().percent()));
   ASSERT_EQ(bits(a.meter().energy().value()), bits(b.meter().energy().value()));
+  ASSERT_EQ(bits(a.cpu().frequency().value()), bits(b.cpu().frequency().value()));
   ASSERT_EQ(a.busy_jiffies(), b.busy_jiffies());
   ASSERT_EQ(a.total_jiffies(), b.total_jiffies());
+  ASSERT_EQ(a.halted(), b.halted());
+  ASSERT_EQ(a.prochot_active(), b.prochot_active());
+  ASSERT_EQ(a.prochot_events(), b.prochot_events());
+  ASSERT_EQ(bits(a.prochot_time().value()), bits(b.prochot_time().value()));
 }
 
 TEST(FleetState, BatchedClusterBitIdenticalToPerNodeLayout) {
+  // The Cluster steps exactly as the engine does — FleetSweep pre pass,
+  // batched RC solve, post pass, sampling — while each standalone Node
+  // steps through Node::step and samples on its own schedule.
   constexpr std::size_t kNodes = 6;
   NodeParams params;
   params.seed = 99;
-  Cluster batched{kNodes, params, /*batched=*/true};
-  Cluster objects{kNodes, params, /*batched=*/false};
-  ASSERT_NE(batched.fleet(), nullptr);
-  ASSERT_EQ(objects.fleet(), nullptr);
+  // A protection ladder low enough that the hot-inlet node below crosses
+  // both PROCHOT and THERMTRIP inside the run.
+  params.protection.prochot = Celsius{65.0};
+  params.protection.critical = Celsius{72.0};
+  Cluster rack{kNodes, params};
+  std::vector<std::unique_ptr<Node>> solo;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    NodeParams own = params;
+    own.seed = params.seed + i * 7919;  // the seed Cluster assigns node i
+    solo.push_back(std::make_unique<Node>(static_cast<int>(i), own));
+    ASSERT_FALSE(solo.back()->package().fleet_backed());
+  }
+  FleetSweep& sweep = rack.sweep();
+  auto& batch = rack.fleet()->batch();
 
   for (std::size_t i = 0; i < kNodes; ++i) {
     const double util = 0.1 + 0.13 * static_cast<double>(i);
-    batched.node(i).set_utilization(Utilization{util});
-    objects.node(i).set_utilization(Utilization{util});
+    rack.node(i).set_utilization(Utilization{util});
+    solo[i]->set_utilization(Utilization{util});
   }
-  batched.settle_all();
-  objects.settle_all();
+  rack.settle_all();
+  for (auto& n : solo) {
+    n->settle();
+  }
   for (std::size_t i = 0; i < kNodes; ++i) {
-    expect_nodes_bitwise_equal(batched.node(i), objects.node(i));
+    expect_nodes_bitwise_equal(rack.node(i), *solo[i]);
   }
 
-  // 30 simulated seconds with load changes, inlet hot spots, sampling, and a
-  // fan fault — the full per-node surface.
+  // 45 simulated seconds with load changes, an inlet hot spot, a stuck fan,
+  // a BMC fan override and its release, and a node driven past THERMTRIP —
+  // the full per-node surface.
   const Seconds dt{0.05};
-  for (int step = 0; step < 600; ++step) {
+  SimTime now;
+  for (int step = 0; step < 900; ++step) {
     if (step == 100) {
-      batched.set_inlet_temperature(2, Celsius{38.0});
-      objects.set_inlet_temperature(2, Celsius{38.0});
+      rack.set_inlet_temperature(2, Celsius{38.0});
+      solo[2]->package().set_ambient(Celsius{38.0});
+    }
+    if (step == 150) {
+      // More than any fan can hold: node 5 heads for THERMTRIP.
+      rack.set_inlet_temperature(5, Celsius{85.0});
+      solo[5]->package().set_ambient(Celsius{85.0});
+    }
+    if (step == 200) {
+      ASSERT_EQ(rack.node(1).bmc().set_fan_override(DutyCycle{35.0}),
+                solo[1]->bmc().set_fan_override(DutyCycle{35.0}));
     }
     if (step == 250) {
-      batched.node(4).fan().inject_stuck_fault();
-      objects.node(4).fan().inject_stuck_fault();
+      rack.node(4).fan().inject_stuck_fault();
+      solo[4]->fan().inject_stuck_fault();
+    }
+    if (step == 600) {
+      ASSERT_EQ(rack.node(1).fan().duty().percent(), 35.0);  // override held
+      ASSERT_EQ(rack.node(1).bmc().set_fan_override(std::nullopt),
+                solo[1]->bmc().set_fan_override(std::nullopt));
     }
     for (std::size_t i = 0; i < kNodes; ++i) {
       const double util = (step % 120 < 60) ? 0.95 : 0.05;
-      batched.node(i).set_utilization(Utilization{util});
-      objects.node(i).set_utilization(Utilization{util});
-      batched.node(i).step(dt);
-      objects.node(i).step(dt);
-      if (step % 5 == 0) {
-        batched.node(i).sample_sensor();
-        objects.node(i).sample_sensor();
+      rack.node(i).set_utilization(Utilization{util});
+      solo[i]->set_utilization(Utilization{util});
+    }
+
+    SimTime after = now;
+    after.advance_us(static_cast<std::int64_t>(dt.value() * 1e6));
+    sweep.pre_range(0, kNodes, dt);
+    batch.step_range(dt, 0, kNodes);
+    sweep.post_range(0, kNodes, dt);
+    const std::uint64_t samples = sweep.sample_range(0, kNodes, after);
+    std::uint64_t solo_samples = 0;
+    for (auto& n : solo) {
+      n->step(dt);
+      while (n->sample_schedule().due(after)) {
+        n->sample_sensor();
+        ++solo_samples;
       }
     }
+    now = after;
+    ASSERT_EQ(samples, solo_samples) << "step " << step;
+
     for (std::size_t i = 0; i < kNodes; ++i) {
-      expect_nodes_bitwise_equal(batched.node(i), objects.node(i));
+      ASSERT_EQ(bits(sweep.wall_power_w(i)), bits(solo[i]->wall_power().value()))
+          << "node " << i << " step " << step;
+      expect_nodes_bitwise_equal(rack.node(i), *solo[i]);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "node " << i << " step " << step;
+      }
     }
   }
-  ASSERT_EQ(bits(batched.total_power().value()), bits(objects.total_power().value()));
+  // The scenario actually reached the rare paths it claims to cover.
+  EXPECT_TRUE(solo[5]->halted()) << solo[5]->die_temperature().value();
+  EXPECT_GT(solo[5]->prochot_events(), 0);
+  EXPECT_FALSE(solo[0]->halted());
+  ASSERT_EQ(bits(rack.total_power().value()),
+            bits([&] {
+              double sum = 0.0;
+              for (auto& n : solo) {
+                sum += n->meter().read().value();
+              }
+              return sum;
+            }()));
 }
 
 TEST(FleetState, DeviceStateLivesInFleetArrays) {

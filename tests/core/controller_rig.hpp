@@ -24,17 +24,19 @@ struct ControllerRig {
   hw::CpuDevice cpu;
   sysfs::Adt7467Driver driver{bus};
   double truth = 40.0;  // scripted die temperature
-  hw::ThermalSensor sensor{[this] { return Celsius{truth}; },
-                           [] {
-                             hw::SensorParams p;
-                             p.noise_sigma_degc = 0.0;  // deterministic tests
-                             return p;
-                           }(),
-                           Rng{1}};
+  hw::ThermalSensor sensor;
   std::unique_ptr<sysfs::HwmonDevice> hwmon;
   std::unique_ptr<sysfs::CpufreqPolicy> cpufreq;
 
-  ControllerRig() {
+  /// Noise-free sensor at the default ADC step (deterministic tests).
+  static hw::SensorParams quiet_sensor() {
+    hw::SensorParams p;
+    p.noise_sigma_degc = 0.0;
+    return p;
+  }
+
+  explicit ControllerRig(hw::SensorParams sensor_params = quiet_sensor())
+      : sensor{[this] { return Celsius{truth}; }, sensor_params, Rng{1}} {
     bus.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip);
     if (driver.probe() != sysfs::DriverStatus::kOk) {
       abort();

@@ -1,9 +1,10 @@
-// ControlBank — batched family ticks must be indistinguishable from N
-// independent controllers, window pooling must degrade gracefully on
-// heterogeneous configs, and the phase wheel must actually spread round
-// closes across ticks.
+// ControlBank — batched family ticks on the latched sensor row must be
+// indistinguishable from N independent controllers reading hwmon
+// temp1_input, and window pooling must degrade gracefully on heterogeneous
+// configs.
 #include "core/control_bank.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -13,12 +14,72 @@
 #include "common/sim_time.hpp"
 #include "core/fan_policy.hpp"
 #include "core/tdvfs.hpp"
+#include "core/two_level_window.hpp"
+#include "core/unified_controller.hpp"
 #include "controller_rig.hpp"
 
 namespace thermctl::core {
 namespace {
 
 using testing::ControllerRig;
+
+/// A fine-grained noisy sensor: readings are not whole millidegrees, so the
+/// bank's millidegree latch does real rounding work that must match the
+/// hwmon temp1_input read bit-for-bit.
+hw::SensorParams fine_sensor() {
+  hw::SensorParams p;
+  p.quantization_degc = 1e-4;
+  p.noise_sigma_degc = 0.2;
+  return p;
+}
+
+/// `n` rigs whose sensors hold their readings in one contiguous row — the
+/// layout FleetState gives a bank — plus `n` standalone twins (same sensor
+/// params and RNG seed) that keep their own inline storage.
+struct LatchedRigs {
+  std::vector<double> row;
+  std::vector<std::unique_ptr<ControllerRig>> bank;
+  std::vector<std::unique_ptr<ControllerRig>> solo;
+
+  explicit LatchedRigs(std::size_t n) : row(n, 0.0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      bank.push_back(std::make_unique<ControllerRig>(fine_sensor()));
+      bank.back()->sensor.bind_state(&row[i]);
+      solo.push_back(std::make_unique<ControllerRig>(fine_sensor()));
+    }
+  }
+
+  /// Both twins of node i see `temp` and take one sample.
+  void sample(std::size_t i, double temp) {
+    bank[i]->truth = temp;
+    bank[i]->sensor.sample();
+    solo[i]->truth = temp;
+    solo[i]->sensor.sample();
+  }
+
+  /// True when some held reading is not a whole millidegree — the latch
+  /// then rounds, which is what the comparison is meant to exercise.
+  [[nodiscard]] bool latch_rounds() const {
+    for (double v : row) {
+      if (static_cast<double>(std::lround(v * 1000.0)) / 1000.0 != v) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// Window state must match bit-for-bit, not just the discrete decisions it
+/// feeds: a latch that reads a fraction of a millidegree off shows up in the
+/// round averages long before it flips a duty or a P-state.
+void expect_same_window(TwoLevelWindow& bank, TwoLevelWindow& solo) {
+  ASSERT_EQ(bank.level1_fill(), solo.level1_fill());
+  ASSERT_EQ(bank.level2_fill(), solo.level2_fill());
+  if (bank.level2_fill() > 0) {
+    ASSERT_EQ(bank.level2_front().value(), solo.level2_front().value());
+    ASSERT_EQ(bank.level2_rear().value(), solo.level2_rear().value());
+  }
+}
 
 TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
   static std::vector<int> destroyed;
@@ -44,79 +105,105 @@ TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
 
 TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
   // Three nodes with *different* temperature scripts, run once through a
-  // bank (one tick_fans per step) and once as three standalone controllers
-  // (three on_sample calls) — duty trajectories must agree exactly. This is
-  // the unit-scale version of the oracle's batched-vs-per-node pairing.
+  // bank (one tick_fans per step, reading the latched row) and once as three
+  // standalone controllers (three on_sample calls, each reading hwmon
+  // temp1_input) — duty trajectories must agree exactly.
   constexpr std::size_t kNodes = 3;
-  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
-  std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    bank_rigs.push_back(std::make_unique<ControllerRig>());
-    solo_rigs.push_back(std::make_unique<ControllerRig>());
-  }
-
+  LatchedRigs rigs{kNodes};
   FanControlConfig cfg;
-  ControlBank bank{kNodes, nullptr};  // no fleet SoA: per-object read path
+  ControlBank bank{kNodes, rigs.row.data()};
   std::vector<std::unique_ptr<DynamicFanController>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfg);
-    solo.push_back(std::make_unique<DynamicFanController>(*solo_rigs[i]->hwmon, cfg));
+    bank.emplace_fan(i, *rigs.bank[i]->hwmon, cfg);
+    solo.push_back(std::make_unique<DynamicFanController>(*rigs.solo[i]->hwmon, cfg));
   }
   ASSERT_EQ(bank.fan_count(), kNodes);
 
+  bool rounded = false;
   SimTime now;
   for (int step = 0; step < 200; ++step) {
     now.advance_us(250000);
     for (std::size_t i = 0; i < kNodes; ++i) {
       // Node i ramps at its own rate, with a mid-run cooldown.
-      const double temp =
-          40.0 + 0.08 * static_cast<double>(i + 1) * (step < 120 ? step : 240 - step);
-      bank_rigs[i]->truth = temp;
-      bank_rigs[i]->sensor.sample();
-      solo_rigs[i]->truth = temp;
-      solo_rigs[i]->sensor.sample();
+      rigs.sample(i, 40.0 + 0.08 * static_cast<double>(i + 1) * (step < 120 ? step : 240 - step));
     }
+    rounded = rounded || rigs.latch_rounds();
     bank.tick_fans(now);
     for (std::size_t i = 0; i < kNodes; ++i) {
       solo[i]->on_sample(now);
       ASSERT_EQ(bank.fan(i).current_duty().percent(), solo[i]->current_duty().percent())
           << "node " << i << " step " << step;
+      expect_same_window(bank.fan(i).window(), solo[i]->window());
+      ASSERT_FALSE(HasFatalFailure()) << "node " << i << " step " << step;
     }
   }
+  EXPECT_TRUE(rounded);
 }
 
 TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   constexpr std::size_t kNodes = 2;
-  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
-  std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    bank_rigs.push_back(std::make_unique<ControllerRig>());
-    solo_rigs.push_back(std::make_unique<ControllerRig>());
-  }
+  LatchedRigs rigs{kNodes};
   TdvfsConfig cfg;
   cfg.threshold = Celsius{50.0};
-  ControlBank bank{kNodes, nullptr};
+  ControlBank bank{kNodes, rigs.row.data()};
   std::vector<std::unique_ptr<TdvfsDaemon>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank.emplace_tdvfs(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
+    bank.emplace_tdvfs(i, *rigs.bank[i]->hwmon, *rigs.bank[i]->cpufreq, cfg);
     solo.push_back(
-        std::make_unique<TdvfsDaemon>(*solo_rigs[i]->hwmon, *solo_rigs[i]->cpufreq, cfg));
+        std::make_unique<TdvfsDaemon>(*rigs.solo[i]->hwmon, *rigs.solo[i]->cpufreq, cfg));
   }
+  bool rounded = false;
   SimTime now;
   for (int step = 0; step < 160; ++step) {
     now.advance_us(250000);
     for (std::size_t i = 0; i < kNodes; ++i) {
-      const double temp = 44.0 + 0.15 * (i == 0 ? step : 160 - step);
-      bank_rigs[i]->truth = temp;
-      bank_rigs[i]->sensor.sample();
-      solo_rigs[i]->truth = temp;
-      solo_rigs[i]->sensor.sample();
+      rigs.sample(i, 44.0 + 0.15 * (i == 0 ? step : 160 - step));
     }
+    rounded = rounded || rigs.latch_rounds();
     bank.tick_tdvfs(now);
     for (std::size_t i = 0; i < kNodes; ++i) {
       solo[i]->on_sample(now);
-      ASSERT_EQ(bank_rigs[i]->cpu.frequency().value(), solo_rigs[i]->cpu.frequency().value())
+      ASSERT_EQ(rigs.bank[i]->cpu.frequency().value(), rigs.solo[i]->cpu.frequency().value())
           << "node " << i << " step " << step;
+      expect_same_window(bank.tdvfs(i).window(), solo[i]->window());
+      ASSERT_FALSE(HasFatalFailure()) << "node " << i << " step " << step;
+    }
+  }
+  EXPECT_TRUE(rounded);
+  // The scripts cross the threshold, so the comparison covered transitions.
+  EXPECT_GT(rigs.solo[0]->cpu.transition_count() + rigs.solo[1]->cpu.transition_count(), 0u);
+}
+
+TEST(ControlBank, BatchedUnifiedTicksMatchStandaloneControllers) {
+  // The unified family: fan first, then tDVFS, both fed one latched reading.
+  constexpr std::size_t kNodes = 2;
+  LatchedRigs rigs{kNodes};
+  UnifiedConfig cfg;
+  cfg.tdvfs.threshold = Celsius{50.0};
+  ControlBank bank{kNodes, rigs.row.data()};
+  std::vector<std::unique_ptr<UnifiedController>> solo;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_unified(i, *rigs.bank[i]->hwmon, *rigs.bank[i]->cpufreq, cfg);
+    solo.push_back(std::make_unique<UnifiedController>(*rigs.solo[i]->hwmon,
+                                                       *rigs.solo[i]->cpufreq, cfg));
+  }
+  SimTime now;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      rigs.sample(i, 42.0 + 0.1 * static_cast<double>(i + 1) * (step < 100 ? step : 200 - step));
+    }
+    bank.tick_unified(now);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      solo[i]->on_sample(now);
+      ASSERT_EQ(bank.unified(i).fan().current_duty().percent(),
+                solo[i]->fan().current_duty().percent())
+          << "node " << i << " step " << step;
+      ASSERT_EQ(rigs.bank[i]->cpu.frequency().value(), rigs.solo[i]->cpu.frequency().value())
+          << "node " << i << " step " << step;
+      expect_same_window(bank.unified(i).fan().window(), solo[i]->fan().window());
+      expect_same_window(bank.unified(i).dvfs().window(), solo[i]->dvfs().window());
+      ASSERT_FALSE(HasFatalFailure()) << "node " << i << " step " << step;
     }
   }
 }
@@ -128,11 +215,15 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   ControllerRig a;
   ControllerRig b;
   ControllerRig c;
+  std::vector<double> row(3, 0.0);
+  a.sensor.bind_state(&row[0]);
+  b.sensor.bind_state(&row[1]);
+  c.sensor.bind_state(&row[2]);
   FanControlConfig standard;
   FanControlConfig wide = standard;
   wide.window.level1_size = 8;
 
-  ControlBank bank{3, nullptr};
+  ControlBank bank{3, row.data()};
   bank.emplace_fan(0, *a.hwmon, standard);
   bank.emplace_fan(1, *b.hwmon, wide);  // odd one out
   bank.emplace_fan(2, *c.hwmon, standard);
@@ -154,46 +245,16 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   EXPECT_EQ(bank.fan(0).window().level1_fill(), 0u);  // two rounds of 4
 }
 
-TEST(ControlBank, StaggerWindowsSpreadsRoundClosesAcrossTicks) {
-  // Synchronized fleets close every window on the same tick; the phase wheel
-  // must spread closes so each tick closes ~nodes/level1_size of them.
-  constexpr std::size_t kNodes = 8;
-  std::vector<std::unique_ptr<ControllerRig>> rigs;
-  ControlBank bank{kNodes, nullptr};
-  FanControlConfig cfg;  // level1_size = 4
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    rigs.push_back(std::make_unique<ControllerRig>());
-    bank.emplace_fan(i, *rigs[i]->hwmon, cfg);
-  }
-  bank.stagger_windows();
-
-  SimTime now;
-  for (int tick = 0; tick < 8; ++tick) {
-    now.advance_us(250000);
-    for (auto& rig : rigs) {
-      rig->truth = 45.0;
-      rig->sensor.sample();
-    }
-    std::vector<std::size_t> fill_before(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      fill_before[i] = bank.fan(i).window().level1_fill();
-    }
-    bank.tick_fans(now);
-    std::size_t closes = 0;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      closes += bank.fan(i).window().level1_fill() < fill_before[i] + 1 ? 1 : 0;
-    }
-    // 8 nodes over a 4-phase wheel: exactly 2 windows close per tick, every
-    // tick, instead of 8 closing together every 4th tick.
-    EXPECT_EQ(closes, 2u) << "tick " << tick;
-  }
-}
-
 TEST(ControlBankDeath, SparseEmplacementAborts) {
   ControllerRig rig;
-  ControlBank bank{4, nullptr};
+  std::vector<double> row(4, 0.0);
+  ControlBank bank{4, row.data()};
   FanControlConfig cfg;
   EXPECT_DEATH(bank.emplace_fan(2, *rig.hwmon, cfg), "dense");
+}
+
+TEST(ControlBankDeath, MissingSensorRowAborts) {
+  EXPECT_DEATH(ControlBank(2, nullptr), "sensor row");
 }
 
 }  // namespace

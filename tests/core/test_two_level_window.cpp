@@ -237,42 +237,5 @@ TEST(TwoLevelWindow, BindStateCarriesContentsAndStaysBitIdentical) {
   }
 }
 
-TEST(TwoLevelWindow, StaggerShortensOnlyTheNextRound) {
-  TwoLevelWindow w;  // level1_size = 4
-  w.stagger(3);      // next round closes after a single sample
-  const auto first = w.add_sample(Celsius{48.0});
-  ASSERT_TRUE(first.has_value());
-  EXPECT_DOUBLE_EQ(first->level1_average.value(), 48.0);
-  // Rounds return to full length afterwards.
-  for (int round = 0; round < 3; ++round) {
-    int samples = 0;
-    std::optional<WindowRound> r;
-    while (!r.has_value()) {
-      r = w.add_sample(Celsius{48.0});
-      ++samples;
-    }
-    EXPECT_EQ(samples, 4) << "round " << round;
-  }
-}
-
-TEST(TwoLevelWindow, StaggerIsStickyAcrossReset) {
-  // A mode change resets the window; the phase offset must survive or the
-  // fleet re-synchronizes on the first reset and the wheel stops working.
-  TwoLevelWindow w;
-  w.stagger(2);
-  EXPECT_FALSE(w.add_sample(Celsius{40.0}).has_value());
-  EXPECT_TRUE(w.add_sample(Celsius{40.0}).has_value());  // short round: 2 samples
-  w.reset();
-  EXPECT_FALSE(w.add_sample(Celsius{40.0}).has_value());
-  EXPECT_TRUE(w.add_sample(Celsius{40.0}).has_value());  // short again after reset
-  // Zero stagger restores synchronized behaviour.
-  TwoLevelWindow plain;
-  plain.stagger(0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(plain.add_sample(Celsius{40.0}).has_value());
-  }
-  EXPECT_TRUE(plain.add_sample(Celsius{40.0}).has_value());
-}
-
 }  // namespace
 }  // namespace thermctl::core

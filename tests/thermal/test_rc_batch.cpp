@@ -253,11 +253,11 @@ TEST(RcBatch, MatchesRejectsStructuralDifferences) {
   }
 }
 
-TEST(RcBatch, MixedFleetFallsBackPerNodeForTheOddOneOut) {
+TEST(RcBatch, MixedFleetStepsTheOddOneOutStandalone) {
   // A fleet where one machine has different hardware: the batch carries the
   // homogeneous majority, the odd network steps standalone, and both match
-  // their respective per-node references. This is the fallback contract the
-  // cluster layer relies on.
+  // their respective per-node references — a batch and a standalone network
+  // never interfere.
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, 2};
   std::vector<std::unique_ptr<PackageWiring>> solo;
