@@ -103,35 +103,35 @@ void BM_ControllerTickThroughSysfs(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerTickThroughSysfs);
 
-void BM_RcNetworkStepFleet(benchmark::State& state) {
-  // Per-node reference: N standalone package networks stepped one at a time
-  // — the object-walk layout the batched solver replaces.
+void BM_PerObjectRcStepFleet(benchmark::State& state) {
+  // Per-object layout: N one-instance package batches stepped one at a time
+  // — the object walk a standalone package pays, against the shared batch
+  // below.
   const std::size_t instances = static_cast<std::size_t>(state.range(0));
-  std::vector<std::unique_ptr<thermal::RcNetwork>> nets;
-  nets.reserve(instances);
+  std::vector<std::unique_ptr<thermal::RcBatch>> packages;
+  packages.reserve(instances);
   for (std::size_t i = 0; i < instances; ++i) {
-    nets.push_back(std::make_unique<thermal::RcNetwork>());
-    thermal::PackageModel::wire_network(thermal::PackageParams{}, *nets.back());
+    packages.push_back(std::make_unique<thermal::RcBatch>(
+        thermal::PackageModel::make_batch(thermal::PackageParams{}, 1)));
   }
   for (auto _ : state) {
-    for (auto& net : nets) {
-      net->step(Seconds{0.05});
+    for (auto& package : packages) {
+      package->step_all(Seconds{0.05});
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(instances));
 }
-BENCHMARK(BM_RcNetworkStepFleet)->Arg(1)->Arg(64)->Arg(4096);
+BENCHMARK(BM_PerObjectRcStepFleet)->Arg(1)->Arg(64)->Arg(4096);
 
 void BM_RcBatchStepFleet(benchmark::State& state) {
   // The batched solver: same package topology, N instances advanced by
   // restrict-qualified, compiler-vectorized SoA sweeps over the instance
-  // axis. items/sec here vs BM_RcNetworkStepFleet is the layout win; the
-  // trajectories are bit-identical by RcBatch's contract.
+  // axis. items/sec here vs BM_PerObjectRcStepFleet is the layout win; the
+  // arithmetic per instance is the same.
   const std::size_t instances = static_cast<std::size_t>(state.range(0));
-  thermal::RcNetwork tmpl;
-  thermal::PackageModel::wire_network(thermal::PackageParams{}, tmpl);
-  thermal::RcBatch batch{tmpl, instances};
+  thermal::RcBatch batch =
+      thermal::PackageModel::make_batch(thermal::PackageParams{}, instances);
   for (auto _ : state) {
     batch.step_all(Seconds{0.05});
   }

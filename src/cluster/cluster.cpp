@@ -14,7 +14,7 @@ Cluster::Cluster(std::size_t count, const NodeParams& base) {
   for (std::size_t i = 0; i < count; ++i) {
     NodeParams params = base;
     params.seed = base.seed + i * 7919;  // distinct noise streams per node
-    nodes_.push_back(std::make_unique<Node>(static_cast<int>(i), params, fleet_.get(), i));
+    nodes_.push_back(std::make_unique<Node>(static_cast<int>(i), params, *fleet_, i));
     raw_.push_back(nodes_.back().get());
     ipmi_.attach(static_cast<int>(i), &nodes_.back()->bmc());
   }

@@ -2,26 +2,10 @@
 
 #include <type_traits>
 
-#include "thermal/rc_network.hpp"
-
 namespace thermctl::cluster {
 
-namespace {
-
-// The batch template is wired by the same code path a standalone
-// PackageModel uses, so every batch column starts bitwise-identical to a
-// freshly constructed per-node network.
-thermal::RcBatch make_batch(const thermal::PackageParams& package, std::size_t count,
-                            thermal::PackageWiring* wiring_out) {
-  thermal::RcNetwork tmpl;
-  *wiring_out = thermal::PackageModel::wire_network(package, tmpl);
-  return thermal::RcBatch{tmpl, count};
-}
-
-}  // namespace
-
 FleetState::FleetState(const thermal::PackageParams& package, std::size_t count)
-    : batch_(make_batch(package, count, &wiring_)),
+    : batch_(thermal::PackageModel::make_batch(package, count, &wiring_)),
       fan_duty_pct_(count, 0.0),
       fan_rpm_(count, 0.0),
       fan_stuck_(count, 0),

@@ -1,8 +1,8 @@
 // Fleet-wide structure-of-arrays node state.
 //
-// One rack of N simulated machines used to mean N pointer-chasing object
-// graphs: every node owned its own RcNetwork, its fan kept its rotor state,
-// its sensor kept its sample-and-hold register. FleetState hoists the hot
+// One rack of N simulated machines could mean N pointer-chasing object
+// graphs: every node with its own RC solver, its fan keeping its rotor state,
+// its sensor keeping its sample-and-hold register. FleetState hoists the hot
 // per-node state into contiguous arrays owned in one place:
 //
 //   * temperatures, power inputs, edge conductances, capacitances — inside an
@@ -15,14 +15,13 @@
 //   * meter integrals, jiffy counters, protection state, sampling schedules —
 //     everything Node::step touches every physics step.
 //
-// Node/Cluster keep their exact APIs: each Node's PackageModel becomes a view
-// onto one batch column, and its devices rebind their state pointers into the
-// arrays. Controllers, sysfs, and tests are untouched, and trajectories stay
-// bit-identical to a standalone Node stepped by Node::step (RcBatch and
-// FleetSweep contracts). The payoff is the engine's hot loop: one vectorized
-// RcBatch::step_range call advances the whole fleet's thermals, and
-// FleetSweep runs the per-node device/OS phases as contiguous array passes
-// instead of N object-graph walks.
+// Every Node lives in a FleetState: a Cluster's nodes share one, and a
+// standalone Node owns a one-slot fleet. Each Node's PackageModel is a view
+// onto one batch column, and its devices bind their state pointers into the
+// arrays; controllers and sysfs see the same Node API either way. A
+// Cluster's fleet is stepped by one vectorized RcBatch::step_range call and
+// FleetSweep's contiguous array passes, bit-identical to Node::step on a
+// standalone Node (the RcBatch and FleetSweep contracts).
 #pragma once
 
 #include <cstddef>
@@ -45,7 +44,7 @@ class FleetState {
 
   [[nodiscard]] std::size_t size() const { return batch_.instance_count(); }
 
-  /// The batched RC solver all fleet-backed PackageModels view into.
+  /// The batched RC solver every node's PackageModel views into.
   [[nodiscard]] thermal::RcBatch& batch() { return batch_; }
   [[nodiscard]] const thermal::RcBatch& batch() const { return batch_; }
   /// Handles into the shared die—heatsink—ambient wiring.

@@ -43,8 +43,8 @@ namespace thermctl::cluster {
 
 class FleetSweep {
  public:
-  /// Builds a sweep over `fleet`'s arrays for `nodes` (the fleet-backed Node
-  /// views, in slot order). `base` must be the NodeParams every node was
+  /// Builds a sweep over `fleet`'s arrays for `nodes` (the Node views over
+  /// `fleet`, in slot order). `base` must be the NodeParams every node was
   /// built from — the sweep caches the shared constants once.
   FleetSweep(FleetState& fleet, const NodeParams& base, const std::vector<Node*>& nodes);
 

@@ -7,56 +7,47 @@
 
 namespace thermctl::cluster {
 
-namespace {
+Node::Node(int id, const NodeParams& params)
+    : Node(id, params, std::make_unique<FleetState>(params.package, 1)) {}
 
-thermal::PackageModel make_package(const NodeParams& params, FleetState* fleet,
-                                   std::size_t slot) {
-  if (fleet != nullptr) {
-    return thermal::PackageModel{params.package, fleet->batch(), slot};
-  }
-  return thermal::PackageModel{params.package};
+Node::Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned)
+    : Node(id, params, *owned, 0) {
+  owned_fleet_ = std::move(owned);
 }
 
-}  // namespace
-
-Node::Node(int id, const NodeParams& params, FleetState* fleet, std::size_t slot)
+Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
     : id_(id),
       params_(params),
       cpu_(params.cpu),
       fan_(params.fan),
-      package_(make_package(params, fleet, slot)),
+      package_(params.package, fleet.batch(), slot, fleet.airflow_slot(slot),
+               fleet.airflow_set_slot(slot)),
       sensor_([this] { return package_.die_temperature(); }, params.sensor,
               Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
       meter_([this] { return Watts{cpu_.power().value() + fan_.power().value()}; },
              params.meter),
       driver_(i2c_),
-      sample_schedule_storage_(static_cast<std::int64_t>(params.sample_period.value() * 1e6)) {
-  if (fleet != nullptr) {
-    // Hot device + OS state moves into the fleet's SoA arrays before first
-    // use, so the batched sweep and the per-object API share one storage.
-    fan_.bind_state(fleet->fan_duty_slot(slot), fleet->fan_rpm_slot(slot),
-                    fleet->fan_stuck_slot(slot));
-    sensor_.bind_state(fleet->sensor_last_slot(slot));
-    cpu_.bind_state(fleet->cpu_slots(slot));
-    chip_.bind_state(fleet->chip_slots(slot));
-    meter_.bind_state(fleet->meter_energy_slot(slot), fleet->meter_elapsed_slot(slot));
-    package_.bind_airflow_memo(fleet->airflow_slot(slot), fleet->airflow_set_slot(slot));
-    auto rebind = [](auto*& ptr, auto* cell) {
-      *cell = *ptr;
-      ptr = cell;
-    };
-    rebind(util_, fleet->util_slot(slot));
-    rebind(busy_jiffies_, fleet->busy_jiffies_slot(slot));
-    rebind(total_jiffies_, fleet->total_jiffies_slot(slot));
-    rebind(jiffy_remainder_busy_, fleet->jiffy_rem_busy_slot(slot));
-    rebind(jiffy_remainder_total_, fleet->jiffy_rem_total_slot(slot));
-    rebind(prochot_events_, fleet->prochot_events_slot(slot));
-    rebind(prochot_seconds_, fleet->prochot_seconds_slot(slot));
-    rebind(halted_, fleet->halted_slot(slot));
-    rebind(bmc_override_duty_, fleet->bmc_override_duty_slot(slot));
-    rebind(bmc_override_set_, fleet->bmc_override_set_slot(slot));
-    rebind(sample_schedule_, fleet->sample_schedule_slot(slot));
-  }
+      sample_schedule_(fleet.sample_schedule_slot(slot)),
+      util_(fleet.util_slot(slot)),
+      busy_jiffies_(fleet.busy_jiffies_slot(slot)),
+      total_jiffies_(fleet.total_jiffies_slot(slot)),
+      jiffy_remainder_busy_(fleet.jiffy_rem_busy_slot(slot)),
+      jiffy_remainder_total_(fleet.jiffy_rem_total_slot(slot)),
+      prochot_events_(fleet.prochot_events_slot(slot)),
+      prochot_seconds_(fleet.prochot_seconds_slot(slot)),
+      halted_(fleet.halted_slot(slot)),
+      bmc_override_duty_(fleet.bmc_override_duty_slot(slot)),
+      bmc_override_set_(fleet.bmc_override_set_slot(slot)) {
+  *sample_schedule_ =
+      PeriodicSchedule{static_cast<std::int64_t>(params.sample_period.value() * 1e6)};
+  // Hot device state moves into the fleet's SoA arrays before first use, so
+  // the batched sweep and the per-object API share one storage.
+  fan_.bind_state(fleet.fan_duty_slot(slot), fleet.fan_rpm_slot(slot),
+                  fleet.fan_stuck_slot(slot));
+  sensor_.bind_state(fleet.sensor_last_slot(slot));
+  cpu_.bind_state(fleet.cpu_slots(slot));
+  chip_.bind_state(fleet.chip_slots(slot));
+  meter_.bind_state(fleet.meter_energy_slot(slot), fleet.meter_elapsed_slot(slot));
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
 
   // In-band plane: cpufreq + hwmon sysfs trees.

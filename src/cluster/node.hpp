@@ -16,6 +16,10 @@
 // trying to stay clear of: PROCHOT clock throttling above `prochot`, and a
 // THERMTRIP-style halt above `critical` (counts as a thermal emergency /
 // availability loss).
+//
+// A Node's hot state lives in a FleetState slot (fleet_state.hpp): a
+// cluster's nodes share one fleet, and a standalone Node owns a one-slot
+// fleet of its own. The Node is a view over that slot.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +72,11 @@ struct NodeParams {
 
 class Node {
  public:
-  /// Standalone node: owns all of its state, including its own RcNetwork.
-  /// With a `fleet`, the node is a thin view over `fleet`'s SoA arrays at
-  /// `slot` — same API, same trajectories, fleet-resident hot state.
-  Node(int id, const NodeParams& params, FleetState* fleet = nullptr, std::size_t slot = 0);
+  /// Standalone node: a view over a one-slot FleetState of its own.
+  Node(int id, const NodeParams& params);
+  /// Cluster node: a view over `fleet`'s SoA arrays at `slot`. The fleet
+  /// must have been built from `params.package` and outlive the node.
+  Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot);
 
   [[nodiscard]] int id() const { return id_; }
 
@@ -138,8 +143,11 @@ class Node {
   void settle();
 
  private:
+  Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned);
+
   void apply_protection(Celsius die);
 
+  std::unique_ptr<FleetState> owned_fleet_;  // set only for a standalone node
   int id_;
   NodeParams params_;
   hw::CpuDevice cpu_;
@@ -158,32 +166,20 @@ class Node {
   std::unique_ptr<sysfs::ProcStat> proc_stat_;
   sysfs::BmcEndpoint bmc_;
 
-  // OS/protection scalars default to inline storage; a fleet-backed node
-  // repoints them into the FleetState SoA arrays in its constructor, so the
-  // batched sweep can walk them contiguously. Behaviour is identical either
-  // way — the accessors above read through the pointers.
-  PeriodicSchedule sample_schedule_storage_;
-  double util_storage_ = 0.0;  // Utilization fraction
-  std::uint64_t busy_jiffies_storage_ = 0;
-  std::uint64_t total_jiffies_storage_ = 0;
-  double jiffy_remainder_busy_storage_ = 0.0;
-  double jiffy_remainder_total_storage_ = 0.0;
-  std::int32_t prochot_events_storage_ = 0;
-  double prochot_seconds_storage_ = 0.0;
-  std::uint8_t halted_storage_ = 0;
-  double bmc_override_duty_storage_ = 0.0;  // percent; valid when set flag != 0
-  std::uint8_t bmc_override_set_storage_ = 0;
-  PeriodicSchedule* sample_schedule_ = &sample_schedule_storage_;
-  double* util_ = &util_storage_;
-  std::uint64_t* busy_jiffies_ = &busy_jiffies_storage_;
-  std::uint64_t* total_jiffies_ = &total_jiffies_storage_;
-  double* jiffy_remainder_busy_ = &jiffy_remainder_busy_storage_;
-  double* jiffy_remainder_total_ = &jiffy_remainder_total_storage_;
-  std::int32_t* prochot_events_ = &prochot_events_storage_;
-  double* prochot_seconds_ = &prochot_seconds_storage_;
-  std::uint8_t* halted_ = &halted_storage_;
-  double* bmc_override_duty_ = &bmc_override_duty_storage_;
-  std::uint8_t* bmc_override_set_ = &bmc_override_set_storage_;
+  // OS/protection scalars live in the FleetState SoA arrays, so the batched
+  // sweep can walk them contiguously; the accessors above read through these
+  // pointers.
+  PeriodicSchedule* sample_schedule_;
+  double* util_;  // Utilization fraction
+  std::uint64_t* busy_jiffies_;
+  std::uint64_t* total_jiffies_;
+  double* jiffy_remainder_busy_;
+  double* jiffy_remainder_total_;
+  std::int32_t* prochot_events_;
+  double* prochot_seconds_;
+  std::uint8_t* halted_;
+  double* bmc_override_duty_;  // percent; valid when the set flag != 0
+  std::uint8_t* bmc_override_set_;
 };
 
 }  // namespace thermctl::cluster

@@ -25,10 +25,12 @@ namespace {
       .count();
 }
 
-/// Full-buffer write on a blocking fd; false on a dead peer.
+/// Full-buffer send on a blocking socket; false on a dead peer. MSG_NOSIGNAL
+/// turns a peer that closed mid-response into EPIPE instead of SIGPIPE, which
+/// would kill any process embedding the daemon without ignoring the signal.
 bool write_all(int fd, const char* data, std::size_t len) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;

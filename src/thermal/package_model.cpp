@@ -15,13 +15,32 @@ PackageWiring PackageModel::wire_network(const PackageParams& params, RcNetwork&
   return w;
 }
 
-PackageModel::PackageModel(const PackageParams& params)
-    : params_(params), convection_(params.convection), net_(std::make_unique<RcNetwork>()) {
-  wiring_ = wire_network(params_, *net_);
+RcBatch PackageModel::make_batch(const PackageParams& params, std::size_t instances,
+                                 PackageWiring* wiring) {
+  RcNetwork tmpl;
+  const PackageWiring w = wire_network(params, tmpl);
+  if (wiring != nullptr) {
+    *wiring = w;
+  }
+  return RcBatch{tmpl, instances};
 }
 
-PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot)
-    : params_(params), convection_(params.convection), batch_(&batch), slot_(slot) {
+PackageModel::PackageModel(const PackageParams& params)
+    : PackageModel(params, std::make_unique<Standalone>(params)) {}
+
+PackageModel::PackageModel(const PackageParams& params, std::unique_ptr<Standalone> owned)
+    : PackageModel(params, owned->batch, 0, &owned->airflow_cfm, &owned->airflow_set) {
+  owned_ = std::move(owned);
+}
+
+PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot,
+                           double* airflow_cfm, std::uint8_t* airflow_set)
+    : params_(params),
+      convection_(params.convection),
+      batch_(batch),
+      slot_(slot),
+      airflow_cfm_(airflow_cfm),
+      airflow_set_(airflow_set) {
   // Wiring ids are deterministic (same build order as wire_network); recover
   // them structurally rather than hard-coding indices.
   RcNetwork probe;
@@ -34,15 +53,7 @@ PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, std::siz
 
 void PackageModel::set_ambient(Celsius t) {
   params_.ambient = t;
-  if (batch_ != nullptr) {
-    batch_->set_fixed_temperature(slot_, wiring_.ambient, t);
-  } else {
-    net_->set_fixed_temperature(wiring_.ambient, t);
-  }
-}
-
-Watts PackageModel::cpu_power() const {
-  return batch_ != nullptr ? batch_->power(slot_, wiring_.die) : net_->power(wiring_.die);
+  batch_.set_fixed_temperature(slot_, wiring_.ambient, t);
 }
 
 Celsius PackageModel::steady_state_die(Watts p, Cfm v) const {

@@ -33,8 +33,8 @@ struct PackageParams {
   ConvectionParams convection{};
 };
 
-/// Handles into the die—heatsink—ambient wiring shared by the standalone
-/// network and the fleet batch (identical build order ⇒ identical ids).
+/// Handles into the die—heatsink—ambient wiring (identical build order ⇒
+/// identical ids in every batch built from it).
 struct PackageWiring {
   NodeId die{};
   NodeId heatsink{};
@@ -46,40 +46,38 @@ struct PackageWiring {
 /// The die—heatsink—ambient RC model with fan-speed-dependent convection on
 /// the heatsink-ambient edge.
 ///
-/// Two backends share one API: a standalone PackageModel owns its own
-/// RcNetwork (the historical layout — tests and one-off rigs use it), while a
-/// fleet-backed PackageModel is a *view* onto one instance column of an
-/// RcBatch built from the same wiring. Trajectories are bit-identical either
-/// way (RcBatch's contract), so callers never need to know which backend
-/// they're on.
+/// A PackageModel is a *view* onto one instance column of an RcBatch built
+/// by make_batch, plus the airflow memo cells that let set_airflow skip
+/// unchanged airflow. In a cluster the batch and the memo cells belong to
+/// FleetState; a standalone PackageModel owns a one-instance batch and its
+/// memo and views slot 0 — the same arithmetic either way.
 class PackageModel {
  public:
+  /// Standalone package: a one-instance batch of its own.
   explicit PackageModel(const PackageParams& params);
-  /// Fleet-backed view onto instance `slot` of `batch`. The batch must have
-  /// been built from `wire_network(params, ...)` so the wiring ids line up.
-  PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot);
+  /// View onto instance `slot` of `batch`, whose airflow memo (last applied
+  /// CFM + applied flag) lives in `airflow_cfm` / `airflow_set`. The batch
+  /// must have been built by `make_batch(params, ...)` so the wiring ids
+  /// line up.
+  PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot,
+               double* airflow_cfm, std::uint8_t* airflow_set);
 
-  // The airflow memo may be rebound into fleet-owned SoA arrays
-  // (bind_airflow_memo), so the model must not be duplicated with pointers
-  // into the old storage. Callers build packages in place (prvalue
-  // construction elides; no move needed).
+  // A view holds pointers into its batch and memo cells, so it must not be
+  // duplicated. Callers build packages in place (prvalue construction
+  // elides; no move needed).
   PackageModel(const PackageModel&) = delete;
   PackageModel& operator=(const PackageModel&) = delete;
 
   /// Builds the three-node chain into `net` (initial temperatures at
-  /// ambient, still-air convection) and returns the handles. Both the
-  /// standalone backend and FleetState's batch template go through here, so
-  /// the two layouts start from bitwise-identical state.
+  /// ambient, still-air convection) and returns the handles.
   static PackageWiring wire_network(const PackageParams& params, RcNetwork& net);
+  /// A batch of `instances` packages wired by wire_network; every column
+  /// starts from the same state. Writes the handles to `wiring` if given.
+  static RcBatch make_batch(const PackageParams& params, std::size_t instances,
+                            PackageWiring* wiring = nullptr);
 
   /// Power dissipated in the die for subsequent steps.
-  void set_cpu_power(Watts p) {
-    if (die_power_cell_ != nullptr) {
-      *die_power_cell_ = p.value();  // == batch set_power: a plain cell write
-    } else {
-      net_->set_power(wiring_.die, p);
-    }
-  }
+  void set_cpu_power(Watts p) { *die_power_cell_ = p.value(); }  // == batch set_power
   /// Airflow delivered by the fan across the heatsink. The convection power
   /// law is only re-evaluated when the airflow actually moved — the fan's
   /// rotor settles between duty changes, making steady steps free.
@@ -89,45 +87,30 @@ class PackageModel {
     }
     *airflow_cfm_ = v.value();
     *airflow_set_ = 1;
-    const KelvinPerWatt r = convection_.resistance(v);
-    if (batch_ != nullptr) {
-      batch_->set_resistance(slot_, wiring_.hs_amb, r);
-    } else {
-      net_->set_resistance(wiring_.hs_amb, r);
-    }
+    batch_.set_resistance(slot_, wiring_.hs_amb, convection_.resistance(v));
   }
   /// Chassis inlet temperature (hot-spot / HVAC scenarios).
   void set_ambient(Celsius t);
 
-  /// Advances this package only. Fleet-backed packages are normally advanced
-  /// en masse via RcBatch::step_range by the engine; stepping one instance
-  /// here is the same arithmetic on one column.
-  void step(Seconds dt) {
-    if (batch_ != nullptr) {
-      batch_->step_one(slot_, dt);
-    } else {
-      net_->step(dt);
-    }
-  }
+  /// Advances this package only. Fleet packages are normally advanced en
+  /// masse via RcBatch::step_range by the engine; stepping one instance here
+  /// is the same arithmetic on one column.
+  void step(Seconds dt) { batch_.step_one(slot_, dt); }
 
   /// Primes the model at equilibrium for the current power/airflow.
-  void settle() {
-    if (batch_ != nullptr) {
-      batch_->settle(slot_);
-    } else {
-      net_->settle();
-    }
-  }
+  void settle() { batch_.settle(slot_); }
 
-  [[nodiscard]] Celsius die_temperature() const {
-    // Hottest read in the simulator (several per node per step); the fleet
-    // backend resolves to a cached cell pointer bound at construction.
-    return die_temp_cell_ != nullptr ? Celsius{*die_temp_cell_} : net_->temperature(wiring_.die);
+  /// Hottest read in the simulator (several per node per step): a cell
+  /// pointer bound at construction.
+  [[nodiscard]] Celsius die_temperature() const { return Celsius{*die_temp_cell_}; }
+  [[nodiscard]] Celsius heatsink_temperature() const {
+    return batch_.temperature(slot_, wiring_.heatsink);
   }
-  [[nodiscard]] Celsius heatsink_temperature() const { return temperature(wiring_.heatsink); }
-  [[nodiscard]] Celsius ambient_temperature() const { return temperature(wiring_.ambient); }
+  [[nodiscard]] Celsius ambient_temperature() const {
+    return batch_.temperature(slot_, wiring_.ambient);
+  }
   [[nodiscard]] Cfm airflow() const { return Cfm{*airflow_cfm_}; }
-  [[nodiscard]] Watts cpu_power() const;
+  [[nodiscard]] Watts cpu_power() const { return batch_.power(slot_, wiring_.die); }
 
   /// Steady-state die temperature for a hypothetical (power, airflow) point —
   /// the analytic solution of the two-resistor chain. Useful for calibration
@@ -135,41 +118,30 @@ class PackageModel {
   [[nodiscard]] Celsius steady_state_die(Watts p, Cfm v) const;
 
   [[nodiscard]] const PackageParams& params() const { return params_; }
-  /// True when this package is a view onto a FleetState batch column.
-  [[nodiscard]] bool fleet_backed() const { return batch_ != nullptr; }
-
-  /// Rebinds the airflow memo (last applied CFM + applied flag) onto
-  /// external storage — FleetState SoA slots — so the fleet sweep can run
-  /// the same skip-if-unchanged test over contiguous arrays. Current values
-  /// carry over.
-  void bind_airflow_memo(double* airflow_cfm, std::uint8_t* airflow_set) {
-    *airflow_cfm = *airflow_cfm_;
-    *airflow_set = *airflow_set_;
-    airflow_cfm_ = airflow_cfm;
-    airflow_set_ = airflow_set;
-  }
 
  private:
-  [[nodiscard]] Celsius temperature(NodeId n) const {
-    return batch_ != nullptr ? batch_->temperature(slot_, n) : net_->temperature(n);
-  }
+  /// What a standalone package owns: a one-instance batch and its memo
+  /// cells.
+  struct Standalone {
+    explicit Standalone(const PackageParams& params) : batch(make_batch(params, 1)) {}
+    RcBatch batch;
+    double airflow_cfm = 0.0;
+    std::uint8_t airflow_set = 0;
+  };
+  PackageModel(const PackageParams& params, std::unique_ptr<Standalone> owned);
 
   PackageParams params_;
   ConvectionModel convection_;
-  std::unique_ptr<RcNetwork> net_;  // standalone backend; null when batched
-  RcBatch* batch_ = nullptr;        // fleet backend; null when standalone
-  // Fleet-backend fast path: cells for this view's fixed (slot, node)
-  // coordinates, validated once in the constructor (see RcBatch::power_cell).
-  double* die_power_cell_ = nullptr;
-  const double* die_temp_cell_ = nullptr;
-  std::size_t slot_ = 0;
+  std::unique_ptr<Standalone> owned_;  // set only for a standalone package
+  RcBatch& batch_;
+  std::size_t slot_;
   PackageWiring wiring_{};
-  // Airflow memo defaults to inline storage; bind_airflow_memo() repoints it
-  // into FleetState SoA slots without changing behaviour.
-  double airflow_cfm_storage_ = 0.0;
-  std::uint8_t airflow_set_storage_ = 0;
-  double* airflow_cfm_ = &airflow_cfm_storage_;
-  std::uint8_t* airflow_set_ = &airflow_set_storage_;
+  // Cells for this view's fixed (slot, node) coordinates, validated once in
+  // the constructor (see RcBatch::power_cell).
+  double* die_power_cell_;
+  const double* die_temp_cell_;
+  double* airflow_cfm_;
+  std::uint8_t* airflow_set_;
 };
 
 }  // namespace thermctl::thermal

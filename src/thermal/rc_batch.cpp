@@ -22,9 +22,9 @@ RcBatch::RcBatch(const RcNetwork& tmpl, std::size_t instances)
     names_[k] = tmpl.node_name(n);
   }
 
-  // CSR built with the same counting-sort fill as RcNetwork::ensure_adjacency
-  // so each node's half-edges sit in edge-insertion order — the flux
-  // accumulation order the bit-exactness contract depends on.
+  // CSR built with a counting-sort fill so each node's half-edges sit in
+  // edge-insertion order — the flux accumulation order of the seed edge-list
+  // solver, which the bit-exactness contract depends on.
   const std::size_t e_count = tmpl.edge_count();
   edge_nodes_.resize(e_count);
   csr_offset_.assign(node_count_ + 1, 0);
@@ -172,8 +172,8 @@ void RcBatch::refresh_node_tau(std::size_t k, std::size_t b) {
   }
   // Sum the node's incident conductances from its CSR row. The row was
   // filled in edge-insertion order, so the addends arrive in the same order
-  // as RcNetwork::ensure_min_tau's per-edge accumulation — same partial
-  // sums, same rounding, same bits.
+  // as a per-edge accumulation over the edge list — same partial sums, same
+  // rounding, same bits.
   double g_sum = 0.0;
   const std::size_t slot_end = csr_offset_[k + 1];
   for (std::size_t s = csr_offset_[k]; s < slot_end; ++s) {
@@ -183,9 +183,9 @@ void RcBatch::refresh_node_tau(std::size_t k, std::size_t b) {
 }
 
 double RcBatch::min_over_taus(std::size_t b) const {
-  // RcNetwork scans nodes in index order starting from 1e30; sentinel
-  // entries (fixed / zero-conductance nodes) are absorbed without changing
-  // the result, so the chain is bitwise identical to its skip-scan.
+  // Scans nodes in index order starting from 1e30; sentinel entries (fixed /
+  // zero-conductance nodes) are absorbed without changing the result, so the
+  // chain is bitwise identical to a scan that skips them.
   double min_tau = 1e30;
   for (std::size_t k = 0; k < node_count_; ++k) {
     min_tau = std::min(min_tau, row(node_tau_, k)[b]);
@@ -203,16 +203,17 @@ void RcBatch::rebuild_taus(std::size_t b) {
 
 Seconds RcBatch::min_time_constant(std::size_t b) const {
   THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // min_tau_ is always fresh; clearing plan_stale_ mirrors RcNetwork's
-  // ensure_min_tau clearing min_tau_dirty_ on read — which leaves a
-  // then-stale substep plan cached, a quirk step() reproduces.
+  // min_tau_ is always fresh, but reading it clears plan_stale_ — which
+  // leaves a then-stale substep plan cached (the known quirk; see the
+  // header).
   plan_stale_[b] = 0;
   return Seconds{min_tau_[b]};
 }
 
 void RcBatch::ensure_plan(std::size_t b, double dt) {
-  // Mirrors RcNetwork::step's cache: recompute only after a conductance
-  // change or when the caller varies dt.
+  // Explicit Euler is stable for h < 2*tau; keep substeps below tau/8 for
+  // accuracy on top of the stability margin. Recompute only after a
+  // conductance change or when the caller varies dt.
   if (plan_stale_[b] || dt != cached_dt_[b]) {
     const double max_sub = std::max(1e-6, min_tau_[b] / 8.0);
     cached_substeps_[b] = std::max(1, static_cast<int>(std::ceil(dt / max_sub)));
@@ -304,8 +305,8 @@ void RcBatch::step_range(Seconds dt, std::size_t begin, std::size_t end) {
 
 void RcBatch::settle(std::size_t b, int max_iterations, double tolerance_kelvin) {
   THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // March the instance with large (but stable) steps until quiescent —
-  // RcNetwork::settle, one column at a time.
+  // March the instance with large (but stable) steps until quiescent, one
+  // column at a time.
   const double h = min_time_constant(b).value() / 2.0;
   std::vector<double> before(node_count_);
   for (int it = 0; it < max_iterations; ++it) {

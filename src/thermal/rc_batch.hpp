@@ -1,32 +1,34 @@
-// Batched RC thermal networks: one solver advancing a whole fleet.
+// Batched RC thermal networks: the one RC integrator.
 //
 // A datacenter rack is thousands of *structurally identical* package models
 // (same nodes, capacitances and edges; only temperatures, powers and the
-// fan-dependent convection conductance differ per machine). Stepping each
-// instance through its own RcNetwork costs a virtual-free but pointer-chasing
-// object walk per node per physics step; at 100k nodes that layout is the
-// bottleneck, not the arithmetic.
+// fan-dependent convection conductance differ per machine). RcBatch lifts B
+// instances of one template topology, described by an RcNetwork builder,
+// into structure-of-arrays storage: the CSR adjacency, capacitances and
+// fixed-node mask are shared, while temperatures, injected powers and edge
+// conductances live in node-major rows of length B (`temp[k*B + b]`). One
+// euler_substep pass then advances *every* instance with tight unit-stride
+// loops over the instance axis that the compiler auto-vectorizes — no
+// per-instance dispatch at all. A single network is simply `RcBatch{net, 1}`.
 //
-// RcBatch lifts B instances of one template topology into structure-of-arrays
-// storage: the CSR adjacency, capacitances and fixed-node mask are shared,
-// while temperatures, injected powers and edge conductances live in
-// node-major rows of length B (`temp[k*B + b]`). One euler_substep pass then
-// advances *every* instance with tight unit-stride loops over the instance
-// axis that the compiler auto-vectorizes — no per-instance dispatch at all.
+// Integration is explicit Euler with automatic sub-stepping: a requested
+// step is split so that every substep is comfortably below the instance's
+// smallest node time constant, which keeps the scheme stable for the stiff
+// die/heatsink combination without dragging in an implicit solver.
 //
-// Bit-exactness contract: an RcBatch instance's trajectory is bitwise
-// identical to the same sequence of calls on a standalone RcNetwork. Flux
-// accumulation visits half-edges in the same CSR order, min-time-constant
+// Bit-exactness contract: an instance's trajectory is bitwise identical to
+// the seed edge-list solver (the reference in
+// tests/thermal/reference_rc_network.hpp) under the same call sequence. Flux
+// accumulation visits half-edges in edge-insertion order, min-time-constant
 // accumulation runs in edge-insertion order, and the per-instance substep
-// plan cache reproduces RcNetwork::step's recompute conditions exactly
-// (including its quirk that settle() can clear the dirty bit without
-// refreshing an already-cached plan). The differential oracle and the
-// rc_batch unit tests assert this equivalence.
+// plan is recomputed whenever a conductance or dt changes — with one known
+// quirk: reading min_time_constant() (which settle() does) clears the
+// recompute flag without refreshing an already-cached plan, so the next
+// step at an unchanged dt runs on the old substep count.
 //
-// Heterogeneous fleets (mixed hardware) fail `matches()`; callers fall back
-// to per-node RcNetwork stepping for the odd ones out. The batch makes no
-// attempt to mask or gather across structural differences — fallback is the
-// compatibility story.
+// Structurally different networks fail `matches()` and need a batch of their
+// own; the batch makes no attempt to mask or gather across structural
+// differences.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +62,7 @@ class RcBatch {
   [[nodiscard]] std::size_t edge_count() const { return edge_slots_.size(); }
   [[nodiscard]] const std::string& node_name(NodeId n) const;
 
-  // ---- per-instance state, mirroring the RcNetwork API ----
+  // ---- per-instance state, mirroring the RcNetwork builder's setters ----
   void set_power(std::size_t b, NodeId n, Watts p);
   [[nodiscard]] Watts power(std::size_t b, NodeId n) const;
   void set_resistance(std::size_t b, EdgeId e, KelvinPerWatt r);
@@ -84,15 +86,17 @@ class RcBatch {
   void step_all(Seconds dt) { step_range(dt, 0, instances_); }
   void step_one(std::size_t b, Seconds dt) { step_range(dt, b, b + 1); }
 
-  /// RcNetwork::settle for one instance: marches with large stable steps
-  /// until quiescent.
+  /// Solves instance `b` for the steady state under its current powers and
+  /// resistances by marching with large stable steps (h = min_tau/2) until
+  /// quiescent, and leaves the result in its temperatures. Used to prime
+  /// experiments that start from thermal equilibrium.
   void settle(std::size_t b, int max_iterations = 200000, double tolerance_kelvin = 1e-7);
 
   /// Stable pointers to one instance's state cells, for per-node views
-  /// (fleet-backed PackageModel) that access a fixed (instance, node)
-  /// coordinate every physics step. Range/fixed-node validation happens here,
-  /// once, instead of per access; the SoA arrays never reallocate after
-  /// construction, so the pointers live as long as the batch. Writing through
+  /// (PackageModel) that access a fixed (instance, node) coordinate every
+  /// physics step. Range/fixed-node validation happens here, once, instead
+  /// of per access; the SoA arrays never reallocate after construction, so
+  /// the pointers live as long as the batch. Writing through
   /// power_cell is exactly set_power (a plain cell write with no bookkeeping);
   /// temperature_cell reads are exactly temperature().
   [[nodiscard]] double* power_cell(std::size_t b, NodeId n) {
@@ -114,8 +118,8 @@ class RcBatch {
  private:
   /// One Jacobi substep of length `h` for instances [begin, end).
   void euler_substep_range(double h, std::size_t begin, std::size_t end);
-  /// Full per-node tau rebuild for instance b (edge-order accumulation, like
-  /// RcNetwork::ensure_min_tau). Only needed at construction; afterwards
+  /// Full per-node tau rebuild for instance b. Only needed at construction;
+  /// afterwards
   /// set_resistance keeps node_tau_/min_tau_ fresh incrementally.
   void rebuild_taus(std::size_t b);
   /// Recomputes node k's tau for instance b from its CSR row. The row holds
@@ -123,9 +127,8 @@ class RcBatch {
   /// the same addends in the same order as the full edge-order accumulation
   /// — bitwise identical result.
   void refresh_node_tau(std::size_t k, std::size_t b);
-  /// min over the cached per-node taus, in node order (RcNetwork's scan
-  /// order; fixed/zero-conductance nodes hold the 1e30 sentinel and never
-  /// win).
+  /// min over the cached per-node taus, in node order (fixed and
+  /// zero-conductance nodes hold the 1e30 sentinel and never win).
   [[nodiscard]] double min_over_taus(std::size_t b) const;
   /// Refreshes instance b's substep plan if its recompute condition fires.
   void ensure_plan(std::size_t b, double dt);
@@ -155,13 +158,12 @@ class RcBatch {
   AlignedVector<double> cond_;   // [2E*B], slot-major rows
   AlignedVector<double> flux_;   // [K*B] scratch
 
-  // Per-instance substep plan cache (mirrors RcNetwork's). Unlike RcNetwork,
-  // the batch keeps min_tau_ *always fresh*: set_resistance refreshes only
-  // the touched edge's endpoint taus (node_tau_) and re-takes the min, so a
-  // slewing fan costs O(degree) per step instead of a full O(E+K) rescan.
-  // plan_stale_ then plays exactly the role of RcNetwork's min_tau_dirty_ in
-  // the substep-plan recompute condition — including the quirk that reading
-  // min_time_constant() clears it without refreshing an already-cached plan.
+  // Per-instance substep plan cache. min_tau_ is kept *always fresh*:
+  // set_resistance refreshes only the touched edge's endpoint taus
+  // (node_tau_) and re-takes the min, so a slewing fan costs O(degree) per
+  // step instead of a full O(E+K) rescan. plan_stale_ is the substep-plan
+  // recompute flag — including the quirk that reading min_time_constant()
+  // clears it without refreshing an already-cached plan.
   AlignedVector<double> node_tau_;               // [K*B]; 1e30 = never wins
   mutable std::vector<double> min_tau_;          // [B]
   mutable std::vector<std::uint8_t> plan_stale_;  // [B]

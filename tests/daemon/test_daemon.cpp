@@ -220,6 +220,40 @@ TEST(DaemonLifecycle, PauseFreezesSimTimeAndResumeContinues) {
   EXPECT_EQ(d.stats().failsafe_entries, 0u);
 }
 
+TEST(DaemonLifecycle, ClientClosingMidResponseIsDroppedNotFatal) {
+  // A Daemon embedded in its client's process (no SIGPIPE handler, unlike
+  // thermctld) must survive a peer that closes with replies still owed:
+  // writing to the dead socket has to fail with EPIPE, not raise SIGPIPE.
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) {
+    burst += "status\n";
+  }
+  // Several such clients in a row, so the daemon is all but certain to be
+  // mid-reply when one of them goes away.
+  for (int hog_round = 0; hog_round < 4; ++hog_round) {
+    const int hog = connect_client(dc.socket_path);
+    ASSERT_GE(hog, 0);
+    ASSERT_EQ(::write(hog, burst.data(), burst.size()), static_cast<ssize_t>(burst.size()));
+    ::close(hog);  // without reading a single reply
+  }
+
+  const int fd = connect_client(dc.socket_path);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(request(fd, "ping"), "OK pong\n");
+  EXPECT_EQ(request(fd, "shutdown"), "OK shutting-down\n");
+  ::close(fd);
+  runner.join();
+  EXPECT_GE(d.stats().clients_accepted, 5u);
+}
+
 TEST(DaemonLifecycle, ShutdownMidDrainLeavesReadableSpill) {
   const std::string spill_path = "/tmp/thermctld_spill_" + std::to_string(::getpid()) +
                                  ".thermtrace";

@@ -1,12 +1,13 @@
-// RcBatch bit-exactness against per-node RcNetwork stepping.
+// RcBatch bit-exactness against the seed RC solver, one reference per
+// instance.
 //
 // The batch is a pure layout change: B structurally identical networks in
 // structure-of-arrays storage, advanced by one vectorized loop. Its contract
-// is *bitwise* agreement with the same call sequence on standalone
-// RcNetworks — including the substep-plan cache's recompute conditions and
-// the settle()/min_time_constant() interaction that can leave a stale plan.
-// Heterogeneous structures must be rejected by matches() so callers fall
-// back to per-node stepping.
+// is *bitwise* agreement with the same call sequence on the seed edge-list
+// solver (reference_rc_network.hpp) — including the settle() /
+// min_time_constant() interaction that can leave a stale substep plan.
+// Heterogeneous structures must be rejected by matches() so each structure
+// gets a batch of its own.
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "reference_rc_network.hpp"
 #include "thermal/package_model.hpp"
 #include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
@@ -73,18 +75,15 @@ TEST(RcBatch, MirrorsTemplateStateAtConstruction) {
   EXPECT_TRUE(batch.matches(tmpl->net));
 }
 
-TEST(RcBatch, TrajectoriesBitExactAgainstStandaloneNetworks) {
+TEST(RcBatch, TrajectoriesBitExactAgainstReference) {
   // Five instances driven with five *different* power/convection schedules,
-  // mirrored onto five standalone networks; every temperature must agree
+  // mirrored onto five reference solvers; every temperature must agree
   // bitwise at every step. Schedules include repeated resistances (hitting
   // the set_resistance early-out) and dt changes (plan recompute).
   constexpr std::size_t kInstances = 5;
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, kInstances};
-  std::vector<std::unique_ptr<PackageWiring>> solo;
-  for (std::size_t b = 0; b < kInstances; ++b) {
-    solo.push_back(make_package_wiring());
-  }
+  std::vector<ReferenceRcNetwork> ref(kInstances, ReferenceRcNetwork{tmpl->net});
 
   Rng rng{20260808};
   const double dts[] = {0.05, 0.05, 0.05, 0.25};  // mostly steady, some jumps
@@ -96,49 +95,47 @@ TEST(RcBatch, TrajectoriesBitExactAgainstStandaloneNetworks) {
       const double r_conv = 0.15 + 0.05 * static_cast<double>(rng.below(10));
       batch.set_power(b, tmpl->die, Watts{power});
       batch.set_resistance(b, tmpl->conv, KelvinPerWatt{r_conv});
-      solo[b]->net.set_power(solo[b]->die, Watts{power});
-      solo[b]->net.set_resistance(solo[b]->conv, KelvinPerWatt{r_conv});
+      ref[b].set_power(tmpl->die, Watts{power});
+      ref[b].set_resistance(tmpl->conv, KelvinPerWatt{r_conv});
     }
     const Seconds dt{dts[rng.below(4)]};
     batch.step_all(dt);
     for (std::size_t b = 0; b < kInstances; ++b) {
-      solo[b]->net.step(dt);
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(),
-                     solo[b]->net.temperature(solo[b]->die).value())
+      ref[b].step(dt);
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), ref[b].temperature(tmpl->die))
           << "die diverged, instance " << b << " step " << step;
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->hs).value(),
-                     solo[b]->net.temperature(solo[b]->hs).value())
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->hs).value(), ref[b].temperature(tmpl->hs))
           << "heatsink diverged, instance " << b << " step " << step;
     }
   }
 }
 
 TEST(RcBatch, HeterogeneousSubstepPlansSplitTheRangeNotTheArithmetic) {
-  // Give instances wildly different convection resistances so their smallest
-  // time constants — hence substep counts at dt = 2 s — differ. step_all must
+  // Give instances convection resistances low enough that the heatsink, not
+  // the die, sets each smallest time constant — hence substep counts at
+  // dt = 2 s differ from instance to instance. step_all must
   // still match per-instance stepping bitwise: runs split, arithmetic doesn't.
   constexpr std::size_t kInstances = 7;
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, kInstances};
-  std::vector<std::unique_ptr<PackageWiring>> solo;
+  std::vector<ReferenceRcNetwork> ref(kInstances, ReferenceRcNetwork{tmpl->net});
   for (std::size_t b = 0; b < kInstances; ++b) {
-    solo.push_back(make_package_wiring());
-    const double r_conv = 0.02 * static_cast<double>(b + 1);  // 0.02 .. 0.14
+    const double r_conv = 0.002 * static_cast<double>(b + 1);  // 0.002 .. 0.014
     batch.set_resistance(b, tmpl->conv, KelvinPerWatt{r_conv});
-    solo[b]->net.set_resistance(solo[b]->conv, KelvinPerWatt{r_conv});
+    ref[b].set_resistance(tmpl->conv, KelvinPerWatt{r_conv});
     batch.set_power(b, tmpl->die, Watts{60.0});
-    solo[b]->net.set_power(solo[b]->die, Watts{60.0});
+    ref[b].set_power(tmpl->die, Watts{60.0});
   }
+  // The plans really differ, so the range really splits.
+  ASSERT_NE(ref[0].substeps(Seconds{2.0}), ref[kInstances - 1].substeps(Seconds{2.0}));
   for (int step = 0; step < 50; ++step) {
     batch.step_all(Seconds{2.0});
     for (std::size_t b = 0; b < kInstances; ++b) {
-      solo[b]->net.step(Seconds{2.0});
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(),
-                     solo[b]->net.temperature(solo[b]->die).value())
+      ref[b].step(Seconds{2.0});
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), ref[b].temperature(tmpl->die))
           << "instance " << b << " step " << step;
     }
-    ASSERT_BITS_EQ(batch.min_time_constant(2).value(),
-                   solo[2]->net.min_time_constant().value());
+    ASSERT_BITS_EQ(batch.min_time_constant(2).value(), ref[2].min_time_constant());
   }
 }
 
@@ -154,50 +151,67 @@ TEST(RcBatch, StepRangeAdvancesOnlyTheRange) {
   EXPECT_NE(bits(batch.temperature(0, tmpl->die).value()), bits(before));
 }
 
-TEST(RcBatch, SettleAndStalePlanQuirkMatchStandalone) {
-  // RcNetwork has a deliberate-looking wart: set_resistance marks the
-  // stability bound dirty, but settle()/min_time_constant() clears the bit
-  // without refreshing the cached substep plan, so the next step(dt) with an
-  // unchanged dt runs on the stale plan. The batch must reproduce exactly
-  // this, or trajectories fork after the first settle-then-step sequence.
+TEST(RcBatch, SettleAndStalePlanQuirkMatchReference) {
+  // RcBatch's known wart: set_resistance marks the substep plan stale, but
+  // reading min_time_constant() (which settle() does) clears the flag
+  // without refreshing the cached plan, so the next step at an unchanged dt
+  // runs on the pre-change substep count. Two instances get the same drive;
+  // only instance 0 reads min_time_constant between set_resistance and
+  // step. Instance 0 must equal the reference stepped with the stale count,
+  // instance 1 the normal reference.
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, 2};
-  auto solo = make_package_wiring();
+  ReferenceRcNetwork stale_ref{tmpl->net};  // instance 0
+  ReferenceRcNetwork ref{tmpl->net};        // instance 1
 
   auto drive = [&](double power, double r_conv) {
-    batch.set_power(1, tmpl->die, Watts{power});
-    batch.set_resistance(1, tmpl->conv, KelvinPerWatt{r_conv});
-    solo->net.set_power(solo->die, Watts{power});
-    solo->net.set_resistance(solo->conv, KelvinPerWatt{r_conv});
+    for (std::size_t b = 0; b < 2; ++b) {
+      batch.set_power(b, tmpl->die, Watts{power});
+      batch.set_resistance(b, tmpl->conv, KelvinPerWatt{r_conv});
+    }
+    for (ReferenceRcNetwork* r : {&stale_ref, &ref}) {
+      r->set_power(tmpl->die, Watts{power});
+      r->set_resistance(tmpl->conv, KelvinPerWatt{r_conv});
+    }
   };
   auto check = [&](const char* what) {
-    ASSERT_BITS_EQ(batch.temperature(1, tmpl->die).value(),
-                   solo->net.temperature(solo->die).value())
+    ASSERT_BITS_EQ(batch.temperature(0, tmpl->die).value(), stale_ref.temperature(tmpl->die))
         << what;
-    ASSERT_BITS_EQ(batch.temperature(1, tmpl->hs).value(),
-                   solo->net.temperature(solo->hs).value())
+    ASSERT_BITS_EQ(batch.temperature(0, tmpl->hs).value(), stale_ref.temperature(tmpl->hs))
         << what;
+    ASSERT_BITS_EQ(batch.temperature(1, tmpl->die).value(), ref.temperature(tmpl->die))
+        << what;
+    ASSERT_BITS_EQ(batch.temperature(1, tmpl->hs).value(), ref.temperature(tmpl->hs)) << what;
   };
 
   // Prime a plan at dt = 1.0.
+  const Seconds dt{1.0};
   drive(40.0, 0.5);
-  batch.step_one(1, Seconds{1.0});
-  solo->net.step(Seconds{1.0});
+  batch.step_all(dt);
+  stale_ref.step(dt);
+  ref.step(dt);
   check("after priming step");
+  const int primed_substeps = ref.substeps(dt);
 
-  // Shrink the time constant (more substeps would be needed), then clear the
-  // dirty bit via min_time_constant — next step must reuse the stale plan.
-  drive(40.0, 0.05);
-  ASSERT_BITS_EQ(batch.min_time_constant(1).value(),
-                 solo->net.min_time_constant().value());
-  batch.step_one(1, Seconds{1.0});
-  solo->net.step(Seconds{1.0});
+  // Shrink the heatsink time constant below the die's, so the plan needs
+  // more substeps; then instance 0 reads min_time_constant.
+  drive(40.0, 0.01);
+  ASSERT_GT(ref.substeps(dt), primed_substeps);
+  ASSERT_BITS_EQ(batch.min_time_constant(0).value(), ref.min_time_constant());
+  batch.step_all(dt);
+  stale_ref.step(dt, primed_substeps);
+  ref.step(dt);
   check("after stale-plan step");
+  ASSERT_NE(bits(batch.temperature(0, tmpl->die).value()),
+            bits(batch.temperature(1, tmpl->die).value()))
+      << "the stale plan must be observable";
 
-  // And settle() itself must agree bitwise.
+  // settle() agrees bitwise with the reference settle.
   drive(25.0, 0.3);
+  batch.settle(0);
   batch.settle(1);
-  solo->net.settle();
+  stale_ref.settle();
+  ref.settle();
   check("after settle");
 }
 
@@ -255,14 +269,12 @@ TEST(RcBatch, MatchesRejectsStructuralDifferences) {
 
 TEST(RcBatch, MixedFleetStepsTheOddOneOutStandalone) {
   // A fleet where one machine has different hardware: the batch carries the
-  // homogeneous majority, the odd network steps standalone, and both match
-  // their respective per-node references — a batch and a standalone network
-  // never interfere.
+  // homogeneous majority, the odd network steps in a one-instance batch of
+  // its own, and both match their references bitwise — two batches never
+  // interfere.
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, 2};
-  std::vector<std::unique_ptr<PackageWiring>> solo;
-  solo.push_back(make_package_wiring());
-  solo.push_back(make_package_wiring());
+  std::vector<ReferenceRcNetwork> ref(2, ReferenceRcNetwork{tmpl->net});
 
   // The odd machine: extra chassis node between heatsink and ambient.
   RcNetwork odd;
@@ -275,29 +287,34 @@ TEST(RcBatch, MixedFleetStepsTheOddOneOutStandalone) {
   odd.add_edge(ohs, ochassis, KelvinPerWatt{0.2});
   odd.add_edge(ochassis, oamb, KelvinPerWatt{0.4});
   ASSERT_FALSE(batch.matches(odd));
-
   odd.set_power(odie, Watts{55.0});
+  RcBatch odd_batch{odd, 1};
+  ReferenceRcNetwork odd_ref{odd};
+
   for (std::size_t b = 0; b < 2; ++b) {
     batch.set_power(b, tmpl->die, Watts{55.0});
-    solo[b]->net.set_power(solo[b]->die, Watts{55.0});
+    ref[b].set_power(tmpl->die, Watts{55.0});
   }
-  const double odd_start = odd.temperature(odie).value();
+  const double odd_start = odd_batch.temperature(0, odie).value();
   for (int step = 0; step < 200; ++step) {
     batch.step_all(Seconds{0.05});
-    odd.step(Seconds{0.05});
+    odd_batch.step_all(Seconds{0.05});
+    odd_ref.step(Seconds{0.05});
     for (std::size_t b = 0; b < 2; ++b) {
-      solo[b]->net.step(Seconds{0.05});
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(),
-                     solo[b]->net.temperature(solo[b]->die).value());
+      ref[b].step(Seconds{0.05});
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), ref[b].temperature(tmpl->die));
+    }
+    for (const NodeId n : {odie, ohs, ochassis}) {
+      ASSERT_BITS_EQ(odd_batch.temperature(0, n).value(), odd_ref.temperature(n));
     }
   }
-  EXPECT_GT(odd.temperature(odie).value(), odd_start);  // odd one still simulated
+  EXPECT_GT(odd_batch.temperature(0, odie).value(), odd_start);  // odd one still simulated
 }
 
 // The vectorized substep sweeps process instances in SIMD lanes; counts not
 // divisible by the vector width leave scalar tail iterations, and step_range
 // can start/end mid-register. Every such shape must stay bit-exact against
-// per-node stepping. Widths up to 8 doubles (AVX-512) are covered by counts
+// the per-instance reference. Widths up to 8 doubles (AVX-512) are covered by counts
 // 1..13.
 class RcBatchTailSweep : public ::testing::TestWithParam<std::size_t> {};
 
@@ -305,23 +322,20 @@ TEST_P(RcBatchTailSweep, OddInstanceCountsStayBitExact) {
   const std::size_t instances = GetParam();
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, instances};
-  std::vector<std::unique_ptr<PackageWiring>> solo;
+  std::vector<ReferenceRcNetwork> ref(instances, ReferenceRcNetwork{tmpl->net});
   for (std::size_t b = 0; b < instances; ++b) {
-    solo.push_back(make_package_wiring());
     // Distinct per-instance powers so a lane mixup cannot cancel out.
     const double power = 20.0 + 7.0 * static_cast<double>(b);
     batch.set_power(b, tmpl->die, Watts{power});
-    solo[b]->net.set_power(solo[b]->die, Watts{power});
+    ref[b].set_power(tmpl->die, Watts{power});
   }
   for (int step = 0; step < 400; ++step) {
     batch.step_all(Seconds{0.05});
     for (std::size_t b = 0; b < instances; ++b) {
-      solo[b]->net.step(Seconds{0.05});
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(),
-                     solo[b]->net.temperature(solo[b]->die).value())
+      ref[b].step(Seconds{0.05});
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), ref[b].temperature(tmpl->die))
           << "instance " << b << " of " << instances << " step " << step;
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->hs).value(),
-                     solo[b]->net.temperature(solo[b]->hs).value())
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->hs).value(), ref[b].temperature(tmpl->hs))
           << "instance " << b << " of " << instances << " step " << step;
     }
   }
@@ -333,16 +347,15 @@ INSTANTIATE_TEST_SUITE_P(TailCounts, RcBatchTailSweep,
 TEST(RcBatch, StepRangeMisalignedBoundsStayBitExact) {
   // Shard boundaries land mid-register: step [0,3), [3,10) and [10,13)
   // separately (as the sharded engine would) and require bitwise agreement
-  // with 13 standalone networks stepped with the same dt.
+  // with 13 references stepped with the same dt.
   constexpr std::size_t kInstances = 13;
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, kInstances};
-  std::vector<std::unique_ptr<PackageWiring>> solo;
+  std::vector<ReferenceRcNetwork> ref(kInstances, ReferenceRcNetwork{tmpl->net});
   for (std::size_t b = 0; b < kInstances; ++b) {
-    solo.push_back(make_package_wiring());
     const double power = 15.0 + 5.0 * static_cast<double>(b);
     batch.set_power(b, tmpl->die, Watts{power});
-    solo[b]->net.set_power(solo[b]->die, Watts{power});
+    ref[b].set_power(tmpl->die, Watts{power});
   }
   const std::size_t bounds[] = {0, 3, 10, 13};
   for (int step = 0; step < 300; ++step) {
@@ -350,9 +363,8 @@ TEST(RcBatch, StepRangeMisalignedBoundsStayBitExact) {
       batch.step_range(Seconds{0.05}, bounds[s], bounds[s + 1]);
     }
     for (std::size_t b = 0; b < kInstances; ++b) {
-      solo[b]->net.step(Seconds{0.05});
-      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(),
-                     solo[b]->net.temperature(solo[b]->die).value())
+      ref[b].step(Seconds{0.05});
+      ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), ref[b].temperature(tmpl->die))
           << "instance " << b << " step " << step;
     }
   }

@@ -1,101 +1,33 @@
-// Equivalence of the optimized RcNetwork against the seed implementation.
+// Equivalence of RcBatch, the one RC integrator, against the seed solver.
 //
-// The production solver flattens adjacency into a CSR layout and caches the
-// stability bound / sub-step plan; this test pins it against a direct
-// re-implementation of the original edge-list solver (alloc-per-step,
-// recompute-everything) and requires trajectories to agree to 1e-9 degC —
-// the refactor is a layout/caching change, not a numerical one. Exercised
-// on the package-model wiring (with fan-like per-step resistance updates)
-// and on a randomized 32-node network.
-#include <cmath>
+// RcBatch flattens adjacency into a shared CSR layout, keeps the stability
+// bound fresh incrementally and caches each instance's substep plan; this
+// test pins it against the seed edge-list solver (reference_rc_network.hpp:
+// alloc-per-step, recompute-everything) and requires trajectories to agree
+// bitwise — the batch is a layout/caching change, not a numerical one.
+// Exercised on the package-model wiring (with fan-like per-step resistance
+// updates) and on a randomized 32-node network.
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "reference_rc_network.hpp"
 #include "thermal/package_model.hpp"
+#include "thermal/rc_batch.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace thermctl::thermal {
 namespace {
 
-// Line-for-line port of the seed RcNetwork integrator (pre-CSR): edge-list
-// flux accumulation, min time constant recomputed (with allocation) every
-// step, no caching anywhere.
-class ReferenceRcNetwork {
- public:
-  std::size_t add_node(double capacitance, double t0) {
-    cap_.push_back(capacitance);
-    temp_.push_back(t0);
-    power_.push_back(0.0);
-    fixed_.push_back(false);
-    return cap_.size() - 1;
-  }
-  std::size_t add_fixed_node(double t) {
-    cap_.push_back(0.0);
-    temp_.push_back(t);
-    power_.push_back(0.0);
-    fixed_.push_back(true);
-    return cap_.size() - 1;
-  }
-  std::size_t add_edge(std::size_t a, std::size_t b, double r) {
-    ea_.push_back(a);
-    eb_.push_back(b);
-    g_.push_back(1.0 / r);
-    return g_.size() - 1;
-  }
-  void set_resistance(std::size_t e, double r) { g_[e] = 1.0 / r; }
-  void set_power(std::size_t n, double p) { power_[n] = p; }
-  void set_fixed_temperature(std::size_t n, double t) { temp_[n] = t; }
-  [[nodiscard]] double temperature(std::size_t n) const { return temp_[n]; }
-
-  [[nodiscard]] double min_time_constant() const {
-    std::vector<double> conductance(cap_.size(), 0.0);
-    for (std::size_t e = 0; e < g_.size(); ++e) {
-      conductance[ea_[e]] += g_[e];
-      conductance[eb_[e]] += g_[e];
-    }
-    double min_tau = 1e30;
-    for (std::size_t i = 0; i < cap_.size(); ++i) {
-      if (!fixed_[i] && conductance[i] > 0.0) {
-        min_tau = std::min(min_tau, cap_[i] / conductance[i]);
-      }
-    }
-    return min_tau;
-  }
-
-  void step(double dt) {
-    const double max_sub = std::max(1e-6, min_time_constant() / 8.0);
-    const int substeps = std::max(1, static_cast<int>(std::ceil(dt / max_sub)));
-    const double h = dt / substeps;
-    for (int s = 0; s < substeps; ++s) {
-      euler_substep(h);
-    }
-  }
-
- private:
-  void euler_substep(double dt) {
-    std::vector<double> flux(cap_.size(), 0.0);
-    for (std::size_t e = 0; e < g_.size(); ++e) {
-      const double q = (temp_[ea_[e]] - temp_[eb_[e]]) * g_[e];
-      flux[ea_[e]] -= q;
-      flux[eb_[e]] += q;
-    }
-    for (std::size_t i = 0; i < cap_.size(); ++i) {
-      if (!fixed_[i]) {
-        temp_[i] += dt * (power_[i] + flux[i]) / cap_[i];
-      }
-    }
-  }
-
-  std::vector<double> cap_;
-  std::vector<double> temp_;
-  std::vector<double> power_;
-  std::vector<bool> fixed_;
-  std::vector<std::size_t> ea_;
-  std::vector<std::size_t> eb_;
-  std::vector<double> g_;
-};
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
 
 TEST(RcEquivalence, PackageModelWiringMatchesReference) {
   // The die--heatsink--ambient chain of PackageParams, with the
@@ -109,31 +41,28 @@ TEST(RcEquivalence, PackageModelWiringMatchesReference) {
   const NodeId amb = net.add_fixed_node("ambient", p.ambient);
   net.add_edge(die, hs, p.r_die_heatsink);
   const EdgeId conv = net.add_edge(hs, amb, KelvinPerWatt{0.5});
-
-  ReferenceRcNetwork ref;
-  const std::size_t rdie = ref.add_node(p.c_die.value(), 40.0);
-  const std::size_t rhs = ref.add_node(p.c_heatsink.value(), 35.0);
-  const std::size_t ramb = ref.add_fixed_node(p.ambient.value());
-  ref.add_edge(rdie, rhs, p.r_die_heatsink.value());
-  const std::size_t rconv = ref.add_edge(rhs, ramb, 0.5);
+  RcBatch batch{net, 1};
+  ReferenceRcNetwork ref{net};
 
   Rng rng{42};
-  const double dt = 0.05;
+  const Seconds dt{0.05};
   for (int step = 0; step < 20000; ++step) {
     // Power swings between idle and cpu-burn; convection follows a
     // fan-ramp-like trajectory.
-    const double power = 20.0 + 70.0 * rng.uniform();
-    const double r_conv = 0.15 + 0.5 * rng.uniform();
-    net.set_power(die, Watts{power});
-    net.set_resistance(conv, KelvinPerWatt{r_conv});
-    ref.set_power(rdie, power);
-    ref.set_resistance(rconv, r_conv);
+    const Watts power{20.0 + 70.0 * rng.uniform()};
+    const KelvinPerWatt r_conv{0.15 + 0.5 * rng.uniform()};
+    batch.set_power(0, die, power);
+    batch.set_resistance(0, conv, r_conv);
+    ref.set_power(die, power);
+    ref.set_resistance(conv, r_conv);
 
-    net.step(Seconds{dt});
+    batch.step_one(0, dt);
     ref.step(dt);
 
-    ASSERT_NEAR(net.temperature(die).value(), ref.temperature(rdie), 1e-9);
-    ASSERT_NEAR(net.temperature(hs).value(), ref.temperature(rhs), 1e-9);
+    ASSERT_EQ(bits(batch.temperature(0, die).value()), bits(ref.temperature(die)))
+        << "step " << step;
+    ASSERT_EQ(bits(batch.temperature(0, hs).value()), bits(ref.temperature(hs)))
+        << "step " << step;
   }
 }
 
@@ -142,7 +71,6 @@ TEST(RcEquivalence, Randomized32NodeNetworkMatchesReference) {
   constexpr std::size_t kNodes = 32;
 
   RcNetwork net;
-  ReferenceRcNetwork ref;
   std::vector<NodeId> ids;
   std::vector<bool> fixed(kNodes, false);
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -150,13 +78,11 @@ TEST(RcEquivalence, Randomized32NodeNetworkMatchesReference) {
     if (i % 11 == 3) {
       const double t = 20.0 + 10.0 * rng.uniform();
       ids.push_back(net.add_fixed_node("amb" + std::to_string(i), Celsius{t}));
-      ref.add_fixed_node(t);
       fixed[i] = true;
     } else {
       const double c = 5.0 + 200.0 * rng.uniform();
       const double t0 = 25.0 + 30.0 * rng.uniform();
       ids.push_back(net.add_node("n" + std::to_string(i), JoulesPerKelvin{c}, Celsius{t0}));
-      ref.add_node(c, t0);
     }
   }
   // A connected random graph: chain backbone plus random chords.
@@ -164,7 +90,6 @@ TEST(RcEquivalence, Randomized32NodeNetworkMatchesReference) {
   for (std::size_t i = 1; i < kNodes; ++i) {
     const double r = 0.2 + 2.0 * rng.uniform();
     edges.push_back(net.add_edge(ids[i - 1], ids[i], KelvinPerWatt{r}));
-    ref.add_edge(i - 1, i, r);
   }
   for (int k = 0; k < 24; ++k) {
     const std::size_t a = rng.below(kNodes);
@@ -174,50 +99,53 @@ TEST(RcEquivalence, Randomized32NodeNetworkMatchesReference) {
     }
     const double r = 0.2 + 2.0 * rng.uniform();
     edges.push_back(net.add_edge(ids[a], ids[b], KelvinPerWatt{r}));
-    ref.add_edge(a, b, r);
   }
+  RcBatch batch{net, 1};
+  ReferenceRcNetwork ref{net};
 
-  const double dt = 0.05;
+  const Seconds dt{0.05};
   for (int step = 0; step < 4000; ++step) {
     // Mutate a random subset of powers and resistances each step to stress
     // the cache-invalidation paths.
     for (int m = 0; m < 4; ++m) {
       const std::size_t n = rng.below(kNodes);
       if (!fixed[n]) {
-        const double p = 50.0 * rng.uniform();
-        net.set_power(ids[n], Watts{p});
-        ref.set_power(n, p);
+        const Watts p{50.0 * rng.uniform()};
+        batch.set_power(0, ids[n], p);
+        ref.set_power(ids[n], p);
       }
-      const std::size_t e = rng.below(edges.size());
-      const double r = 0.2 + 2.0 * rng.uniform();
-      net.set_resistance(edges[e], KelvinPerWatt{r});
+      const EdgeId e = edges[rng.below(edges.size())];
+      const KelvinPerWatt r{0.2 + 2.0 * rng.uniform()};
+      batch.set_resistance(0, e, r);
       ref.set_resistance(e, r);
     }
 
-    net.step(Seconds{dt});
+    batch.step_one(0, dt);
     ref.step(dt);
 
     for (std::size_t i = 0; i < kNodes; ++i) {
-      ASSERT_NEAR(net.temperature(ids[i]).value(), ref.temperature(i), 1e-9)
+      ASSERT_EQ(bits(batch.temperature(0, ids[i]).value()), bits(ref.temperature(ids[i])))
           << "node " << i << " diverged at step " << step;
     }
   }
 }
 
 TEST(RcEquivalence, MinTimeConstantTracksResistanceChanges) {
-  // The cached stability bound must follow set_resistance immediately (a
-  // stale cache would show up as a wrong sub-step count, not a crash).
+  // The incrementally maintained stability bound must follow set_resistance
+  // immediately (a stale bound would show up as a wrong sub-step count, not
+  // a crash).
   RcNetwork net;
   const NodeId a = net.add_node("a", JoulesPerKelvin{10.0}, Celsius{30.0});
   const NodeId amb = net.add_fixed_node("amb", Celsius{25.0});
   const EdgeId e = net.add_edge(a, amb, KelvinPerWatt{1.0});
-  EXPECT_NEAR(net.min_time_constant().value(), 10.0, 1e-12);
-  net.step(Seconds{0.05});
-  net.set_resistance(e, KelvinPerWatt{0.1});
-  EXPECT_NEAR(net.min_time_constant().value(), 1.0, 1e-12);
-  net.step(Seconds{0.05});
-  net.set_resistance(e, KelvinPerWatt{10.0});
-  EXPECT_NEAR(net.min_time_constant().value(), 100.0, 1e-12);
+  RcBatch batch{net, 1};
+  EXPECT_NEAR(batch.min_time_constant(0).value(), 10.0, 1e-12);
+  batch.step_one(0, Seconds{0.05});
+  batch.set_resistance(0, e, KelvinPerWatt{0.1});
+  EXPECT_NEAR(batch.min_time_constant(0).value(), 1.0, 1e-12);
+  batch.step_one(0, Seconds{0.05});
+  batch.set_resistance(0, e, KelvinPerWatt{10.0});
+  EXPECT_NEAR(batch.min_time_constant(0).value(), 100.0, 1e-12);
 }
 
 }  // namespace
