@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/assert.hpp"
+
 namespace thermctl::core {
 
 ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
@@ -13,72 +15,41 @@ ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
   unified_.reserve(nodes);
 }
 
-void ControlBank::bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow& window) {
-  const WindowConfig& cfg = window.config();
-  if (!pool.sized) {
-    pool.config = cfg;
-    pool.level1.assign(nodes_ * cfg.level1_size, 0.0);
-    pool.level2.assign(nodes_ * cfg.level2_size, 0.0);
-    pool.fill.assign(nodes_, 0);
-    pool.head.assign(nodes_, 0);
-    pool.count.assign(nodes_, 0);
-    pool.pooled.assign(nodes_, 0);
-    pool.sized = true;
-  }
-  if (cfg.level1_size != pool.config.level1_size || cfg.level2_size != pool.config.level2_size) {
-    // Heterogeneous geometry: this window keeps its inline storage.
-    return;
-  }
-  WindowSlots slots;
-  slots.level1 = pool.level1.data() + node * cfg.level1_size;
-  slots.level2 = pool.level2.data() + node * cfg.level2_size;
-  slots.level1_fill = pool.fill.data() + node;
-  slots.level2_head = pool.head.data() + node;
-  slots.level2_count = pool.count.data() + node;
-  window.bind_state(slots);
-  pool.pooled[node] = 1;
+void ControlBank::check_slot(std::size_t node, std::size_t size) const {
+  THERMCTL_ASSERT(node == size, "emplace controllers densely in node order");
+  THERMCTL_ASSERT(node < nodes_, "emplace past the bank's node count");
 }
 
 DynamicFanController& ControlBank::emplace_fan(std::size_t node, sysfs::HwmonDevice& hwmon,
                                                const FanControlConfig& config) {
-  THERMCTL_ASSERT(node == fans_.size(), "emplace fans densely in node order");
-  DynamicFanController& fan = fans_.emplace_back(hwmon, config);
-  bind_window(fan_pool_, node, fan.window());
-  return fan;
+  check_slot(node, fans_.size());
+  return fans_.emplace_back(hwmon, config);
 }
 
 TdvfsDaemon& ControlBank::emplace_tdvfs(std::size_t node, sysfs::HwmonDevice& hwmon,
                                         sysfs::CpufreqPolicy& cpufreq,
                                         const TdvfsConfig& config) {
-  THERMCTL_ASSERT(node == tdvfs_.size(), "emplace tdvfs densely in node order");
-  TdvfsDaemon& daemon = tdvfs_.emplace_back(hwmon, cpufreq, config);
-  bind_window(tdvfs_pool_, node, daemon.window());
-  return daemon;
+  check_slot(node, tdvfs_.size());
+  return tdvfs_.emplace_back(hwmon, cpufreq, config);
 }
 
 UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
                                                 sysfs::CpufreqPolicy& cpufreq,
                                                 const UnifiedConfig& config) {
-  THERMCTL_ASSERT(node == unified_.size(), "emplace unified densely in node order");
-  UnifiedController& ctl = unified_.emplace_back(hwmon, cpufreq, config);
-  bind_window(fan_pool_, node, ctl.fan().window());
-  bind_window(tdvfs_pool_, node, ctl.dvfs().window());
-  return ctl;
+  check_slot(node, unified_.size());
+  return unified_.emplace_back(hwmon, cpufreq, config);
 }
 
 UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
                                                 sysfs::CpufreqPolicy& cpufreq,
                                                 sysfs::PowerClampDevice& clamp,
                                                 const UnifiedConfig& config) {
-  THERMCTL_ASSERT(node == unified_.size(), "emplace unified densely in node order");
-  UnifiedController& ctl = unified_.emplace_back(hwmon, cpufreq, clamp, config);
-  bind_window(fan_pool_, node, ctl.fan().window());
-  bind_window(tdvfs_pool_, node, ctl.dvfs().window());
-  return ctl;
+  check_slot(node, unified_.size());
+  return unified_.emplace_back(hwmon, cpufreq, clamp, config);
 }
 
 template <typename Controller>
-void ControlBank::tick_family(FixedSlab<Controller>& family, SimTime now) {
+void ControlBank::tick_family(std::vector<Controller>& family, SimTime now) {
   const std::size_t n = family.size();
   for (std::size_t i = 0; i < n; ++i) {
     // Millidegree quantization exactly as the hwmon temp1_input attribute:
@@ -95,13 +66,5 @@ void ControlBank::tick_fans(SimTime now) { tick_family(fans_, now); }
 void ControlBank::tick_tdvfs(SimTime now) { tick_family(tdvfs_, now); }
 
 void ControlBank::tick_unified(SimTime now) { tick_family(unified_, now); }
-
-bool ControlBank::fan_window_pooled(std::size_t node) const {
-  return fan_pool_.sized && node < fan_pool_.pooled.size() && fan_pool_.pooled[node] != 0;
-}
-
-bool ControlBank::tdvfs_window_pooled(std::size_t node) const {
-  return tdvfs_pool_.sized && node < tdvfs_pool_.pooled.size() && tdvfs_pool_.pooled[node] != 0;
-}
 
 }  // namespace thermctl::core

@@ -15,7 +15,9 @@
 //    coolest-but-most-power reference in Fig. 6.
 //
 // All three actuate through the sysfs/hwmon + i2c driver path, never by
-// touching the FanDevice directly.
+// touching the FanDevice directly. A DynamicFanController owns its window
+// by value, so it is movable: a ControlBank keeps a fleet's controllers in
+// one vector.
 #pragma once
 
 #include <cstdint>
@@ -97,9 +99,8 @@ class DynamicFanController {
   /// transition is then recorded; control behaviour is unchanged.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  /// The sampling window, mutable so a ControlBank can rebind its storage
-  /// into bank-owned SoA arrays.
-  [[nodiscard]] TwoLevelWindow& window() { return window_; }
+  /// The sampling window (§3.2.1), owned by the controller.
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
 
  private:
   static std::vector<double> duty_modes(const FanControlConfig& config);

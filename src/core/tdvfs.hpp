@@ -18,6 +18,8 @@
 //
 // Actuation goes through the cpufreq sysfs path; transition counts (Table 1)
 // therefore come from the same `stats/total_trans` a real system reports.
+// The daemon owns its window by value, so it is movable: a ControlBank
+// keeps a fleet's daemons in one vector.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +113,8 @@ class TdvfsDaemon {
   /// counts that armed them), and hold transitions are then recorded.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  /// The sampling window, mutable so a ControlBank can rebind its storage
-  /// into bank-owned SoA arrays.
-  [[nodiscard]] TwoLevelWindow& window() { return window_; }
+  /// The sampling window (§3.2.1), owned by the controller.
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
 
  private:
   /// `consistency` and `is_restore` feed the decision trace: how many

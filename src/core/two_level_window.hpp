@@ -19,17 +19,15 @@
 // With the paper's 4 Hz sampling and a 4-entry level-one array, rounds
 // complete once per second and the level-two FIFO spans five seconds.
 //
-// Storage follows the fleet bind_state pattern: samples, the FIFO cells and
-// the three counters default to inline storage but can be rebound onto
-// external SoA slots (bind_state) so a ControlBank can keep thousands of
-// windows' hot state in contiguous node-major arrays. Behaviour is
-// bit-identical either way — the same add_sample code runs on the same
-// values, just at a different address.
+// The window is a plain value type: the samples and the FIFO live in one
+// inline array sized for the largest geometry any caller uses (kMaxLevel
+// cells per level), so a controller owns its whole history with no heap
+// allocation and can be copied or moved freely.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -48,38 +46,20 @@ struct WindowRound {
   bool level2_valid = false;     // FIFO had ≥ 2 entries when Δt_L2 was read
 };
 
-/// External storage one window's hot state can be rebound onto — node-major
-/// rows/cells of a ControlBank's SoA arrays. `level1` must hold
-/// config.level1_size cells and `level2` config.level2_size cells.
-struct WindowSlots {
-  double* level1 = nullptr;
-  double* level2 = nullptr;
-  std::size_t* level1_fill = nullptr;
-  std::size_t* level2_head = nullptr;
-  std::size_t* level2_count = nullptr;
-};
-
 class TwoLevelWindow {
  public:
+  /// Largest level-one array and level-two FIFO a window can hold.
+  static constexpr std::size_t kMaxLevel = 16;
+
   explicit TwoLevelWindow(WindowConfig config = {});
-
-  // Sample/FIFO storage may be rebound into bank-owned SoA arrays
-  // (bind_state), so the window must not be duplicated with pointers into
-  // the old storage.
-  TwoLevelWindow(const TwoLevelWindow&) = delete;
-  TwoLevelWindow& operator=(const TwoLevelWindow&) = delete;
-
-  /// Rebinds all hot state onto external storage (ControlBank SoA slots).
-  /// Current contents carry over.
-  void bind_state(const WindowSlots& slots);
 
   /// Adds a sample; returns a WindowRound when this sample completes a
   /// level-one round, otherwise nullopt. Inline so the no-round common case
   /// (all but one sample in level1_size) is a store and a compare at the
   /// caller.
   std::optional<WindowRound> add_sample(Celsius t) {
-    level1_[(*level1_fill_)++] = t.value();
-    if (*level1_fill_ < config_.level1_size) {
+    cells_[level1_fill_++] = t.value();
+    if (level1_fill_ < config_.level1_size) {
       return std::nullopt;
     }
     return close_round();
@@ -90,8 +70,8 @@ class TwoLevelWindow {
   void reset();
 
   [[nodiscard]] const WindowConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t level1_fill() const { return *level1_fill_; }
-  [[nodiscard]] std::size_t level2_fill() const { return *level2_count_; }
+  [[nodiscard]] std::size_t level1_fill() const { return level1_fill_; }
+  [[nodiscard]] std::size_t level2_fill() const { return level2_count_; }
 
   /// Front (oldest) and rear (newest) of the level-two FIFO.
   [[nodiscard]] Celsius level2_front() const;
@@ -101,17 +81,12 @@ class TwoLevelWindow {
   [[nodiscard]] std::optional<WindowRound> close_round();
 
   WindowConfig config_;
-  // Hot state defaults to inline storage; bind_state() repoints it into
-  // ControlBank SoA slots without changing behaviour.
-  std::vector<double> inline_cells_;  // level1_size + level2_size doubles
-  std::size_t level1_fill_storage_ = 0;
-  std::size_t level2_head_storage_ = 0;
-  std::size_t level2_count_storage_ = 0;
-  double* level1_ = nullptr;
-  double* level2_ = nullptr;
-  std::size_t* level1_fill_ = &level1_fill_storage_;
-  std::size_t* level2_head_ = &level2_head_storage_;
-  std::size_t* level2_count_ = &level2_count_storage_;
+  // Level-one samples in [0, kMaxLevel), the level-two FIFO in
+  // [kMaxLevel, 2 * kMaxLevel).
+  std::array<double, 2 * kMaxLevel> cells_{};
+  std::size_t level1_fill_ = 0;
+  std::size_t level2_head_ = 0;
+  std::size_t level2_count_ = 0;
 };
 
 }  // namespace thermctl::core

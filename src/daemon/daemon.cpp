@@ -19,6 +19,12 @@ namespace thermctl::daemon {
 
 namespace {
 
+/// Longest pending partial request line a client may hold. Every valid
+/// request is a verb plus at most one number, so a line this long is garbage
+/// or a client that never sends '\n'; either way it is answered and dropped
+/// instead of growing the buffer (and the '\n' rescans) without bound.
+constexpr std::size_t kMaxRequestBytes = 4096;
+
 [[nodiscard]] std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -537,6 +543,11 @@ void Daemon::server_main() {
           dead = true;
           break;
         }
+      }
+      if (!dead && buf.size() > kMaxRequestBytes) {
+        const std::string reply = "ERR line-too-long\n";
+        (void)write_all(fds[i].fd, reply.data(), reply.size());
+        dead = true;
       }
       if (dead) {
         drop_client(i);

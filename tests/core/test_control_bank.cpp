@@ -1,7 +1,6 @@
 // ControlBank — batched family ticks on the latched sensor row must be
 // indistinguishable from N independent controllers reading hwmon
-// temp1_input, and window pooling must degrade gracefully on heterogeneous
-// configs.
+// temp1_input, whatever window geometry each node's controller uses.
 #include "core/control_bank.hpp"
 
 #include <cmath>
@@ -72,35 +71,13 @@ struct LatchedRigs {
 /// Window state must match bit-for-bit, not just the discrete decisions it
 /// feeds: a latch that reads a fraction of a millidegree off shows up in the
 /// round averages long before it flips a duty or a P-state.
-void expect_same_window(TwoLevelWindow& bank, TwoLevelWindow& solo) {
+void expect_same_window(const TwoLevelWindow& bank, const TwoLevelWindow& solo) {
   ASSERT_EQ(bank.level1_fill(), solo.level1_fill());
   ASSERT_EQ(bank.level2_fill(), solo.level2_fill());
   if (bank.level2_fill() > 0) {
     ASSERT_EQ(bank.level2_front().value(), solo.level2_front().value());
     ASSERT_EQ(bank.level2_rear().value(), solo.level2_rear().value());
   }
-}
-
-TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
-  static std::vector<int> destroyed;
-  struct Probe {
-    int id;
-    explicit Probe(int i) : id(i) {}
-    Probe(const Probe&) = delete;
-    ~Probe() { destroyed.push_back(id); }
-  };
-  destroyed.clear();
-  {
-    FixedSlab<Probe> slab{3};
-    EXPECT_TRUE(slab.empty());
-    Probe& a = slab.emplace_back(10);
-    slab.emplace_back(11);
-    slab.emplace_back(12);
-    EXPECT_EQ(slab.size(), 3u);
-    EXPECT_EQ(slab[0].id, 10);
-    EXPECT_EQ(&slab[0], &a);  // stable addresses
-  }
-  EXPECT_EQ(destroyed, (std::vector<int>{12, 11, 10}));
 }
 
 TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
@@ -208,41 +185,55 @@ TEST(ControlBank, BatchedUnifiedTicksMatchStandaloneControllers) {
   }
 }
 
-TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
-  // The SoA window pool is sized from the family's first window; a node with
-  // a different geometry must keep its inline storage (pooled = false) and
-  // still control correctly.
-  ControllerRig a;
-  ControllerRig b;
-  ControllerRig c;
-  std::vector<double> row(3, 0.0);
-  a.sensor.bind_state(&row[0]);
-  b.sensor.bind_state(&row[1]);
-  c.sensor.bind_state(&row[2]);
-  FanControlConfig standard;
-  FanControlConfig wide = standard;
-  wide.window.level1_size = 8;
+TEST(ControlBank, HeterogeneousWindowConfigsMatchStandaloneControllers) {
+  // Window geometry is per controller: a wide level-one array (8 samples a
+  // round) and a short FIFO (3 rounds) sit between default nodes, and every
+  // node must still tick bitwise like its standalone twin.
+  constexpr std::size_t kNodes = 4;
+  LatchedRigs rigs{kNodes};
+  UnifiedConfig standard;
+  standard.tdvfs.threshold = Celsius{50.0};
+  UnifiedConfig wide = standard;
+  wide.fan.window.level1_size = 8;
+  wide.tdvfs.window.level1_size = 8;
+  UnifiedConfig short_fifo = standard;
+  short_fifo.fan.window.level2_size = 3;
+  short_fifo.tdvfs.window.level2_size = 3;
+  const UnifiedConfig* configs[kNodes] = {&standard, &wide, &short_fifo, &standard};
 
-  ControlBank bank{3, row.data()};
-  bank.emplace_fan(0, *a.hwmon, standard);
-  bank.emplace_fan(1, *b.hwmon, wide);  // odd one out
-  bank.emplace_fan(2, *c.hwmon, standard);
-  EXPECT_TRUE(bank.fan_window_pooled(0));
-  EXPECT_FALSE(bank.fan_window_pooled(1));
-  EXPECT_TRUE(bank.fan_window_pooled(2));
-
-  // The odd window still rounds at its own cadence: 8 samples per round.
-  SimTime now;
-  for (int step = 0; step < 8; ++step) {
-    now.advance_us(250000);
-    for (ControllerRig* rig : {&a, &b, &c}) {
-      rig->truth = 55.0;
-      rig->sensor.sample();
-    }
-    bank.tick_fans(now);
+  ControlBank bank{kNodes, rigs.row.data()};
+  std::vector<std::unique_ptr<UnifiedController>> solo;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_unified(i, *rigs.bank[i]->hwmon, *rigs.bank[i]->cpufreq, *configs[i]);
+    solo.push_back(std::make_unique<UnifiedController>(*rigs.solo[i]->hwmon,
+                                                       *rigs.solo[i]->cpufreq, *configs[i]));
   }
-  EXPECT_EQ(bank.fan(1).window().level1_fill(), 0u);  // exactly one round closed
-  EXPECT_EQ(bank.fan(0).window().level1_fill(), 0u);  // two rounds of 4
+  ASSERT_EQ(bank.unified(1).fan().window().config().level1_size, 8u);
+  ASSERT_EQ(bank.unified(2).dvfs().window().config().level2_size, 3u);
+
+  SimTime now;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      rigs.sample(i, 43.0 + 0.09 * static_cast<double>(i + 1) * (step < 110 ? step : 220 - step));
+    }
+    bank.tick_unified(now);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      solo[i]->on_sample(now);
+      ASSERT_EQ(bank.unified(i).fan().current_duty().percent(),
+                solo[i]->fan().current_duty().percent())
+          << "node " << i << " step " << step;
+      ASSERT_EQ(rigs.bank[i]->cpu.frequency().value(), rigs.solo[i]->cpu.frequency().value())
+          << "node " << i << " step " << step;
+      expect_same_window(bank.unified(i).fan().window(), solo[i]->fan().window());
+      expect_same_window(bank.unified(i).dvfs().window(), solo[i]->dvfs().window());
+      ASSERT_FALSE(HasFatalFailure()) << "node " << i << " step " << step;
+    }
+  }
+  // The wide and short-FIFO nodes cross the threshold too, so the
+  // comparison covered their tDVFS transitions.
+  EXPECT_GT(rigs.solo[1]->cpu.transition_count(), 0u);
+  EXPECT_GT(rigs.solo[2]->cpu.transition_count(), 0u);
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {
@@ -251,6 +242,18 @@ TEST(ControlBankDeath, SparseEmplacementAborts) {
   ControlBank bank{4, row.data()};
   FanControlConfig cfg;
   EXPECT_DEATH(bank.emplace_fan(2, *rig.hwmon, cfg), "dense");
+}
+
+TEST(ControlBankDeath, EmplacePastCapacityAborts) {
+  // A family never outgrows its reserved capacity, so references handed out
+  // by emplace_* stay valid for the bank's lifetime.
+  ControllerRig rig;
+  std::vector<double> row(2, 0.0);
+  ControlBank bank{2, row.data()};
+  FanControlConfig cfg;
+  bank.emplace_fan(0, *rig.hwmon, cfg);
+  bank.emplace_fan(1, *rig.hwmon, cfg);
+  EXPECT_DEATH(bank.emplace_fan(2, *rig.hwmon, cfg), "node count");
 }
 
 TEST(ControlBankDeath, MissingSensorRowAborts) {

@@ -1,5 +1,13 @@
 #include "core/two_level_window.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace thermctl::core {
@@ -162,79 +170,188 @@ TEST(TwoLevelWindowDeath, TinyLevel2Aborts) {
   EXPECT_DEATH(TwoLevelWindow{cfg}, "level-two");
 }
 
-// Sweep window geometries: a linear ramp of rate r gives
-// Δt_L1 = r * (size/2)^2 exactly, for any even size.
-class WindowGeometrySweep : public ::testing::TestWithParam<std::size_t> {};
+TEST(TwoLevelWindowDeath, OversizedLevelAborts) {
+  WindowConfig wide;
+  wide.level1_size = TwoLevelWindow::kMaxLevel + 2;
+  EXPECT_DEATH(TwoLevelWindow{wide}, "kMaxLevel");
+  WindowConfig deep;
+  deep.level2_size = TwoLevelWindow::kMaxLevel + 1;
+  EXPECT_DEATH(TwoLevelWindow{deep}, "kMaxLevel");
+}
+
+// Sweep window geometries as (level1, level2) pairs: a linear ramp of rate r
+// gives Δt_L1 = r * (level1/2)^2 exactly, for any even level-one size.
+class WindowGeometrySweep
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {
+ protected:
+  [[nodiscard]] static WindowConfig geometry() {
+    WindowConfig cfg;
+    cfg.level1_size = GetParam().first;
+    cfg.level2_size = GetParam().second;
+    return cfg;
+  }
+};
 
 TEST_P(WindowGeometrySweep, RampDeltaMatchesClosedForm) {
-  const std::size_t size = GetParam();
-  WindowConfig cfg;
-  cfg.level1_size = size;
+  const WindowConfig cfg = geometry();
   TwoLevelWindow w{cfg};
   const double rate = 0.5;
   std::optional<WindowRound> round;
-  for (std::size_t i = 0; i < size; ++i) {
+  for (std::size_t i = 0; i < cfg.level1_size; ++i) {
     round = w.add_sample(Celsius{40.0 + rate * static_cast<double>(i)});
   }
   ASSERT_TRUE(round.has_value());
-  const double half = static_cast<double>(size) / 2.0;
+  const double half = static_cast<double>(cfg.level1_size) / 2.0;
   EXPECT_NEAR(round->level1_delta.value(), rate * half * half, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(EvenSizes, WindowGeometrySweep,
-                         ::testing::Values(2u, 4u, 6u, 8u, 12u, 16u));
+/// The §3.2.1 arithmetic written out plainly: level-one samples in a
+/// vector, the level-two FIFO in a deque. Sums run left to right from 0.0,
+/// in the order the paper states them, so results compare bitwise.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(WindowConfig cfg) : cfg_(cfg) {}
 
-TEST(TwoLevelWindow, BindStateCarriesContentsAndStaysBitIdentical) {
-  // Fill a window mid-round with one complete round already in the FIFO,
-  // rebind its hot state onto external SoA-style slots (the ControlBank
-  // path), and keep sampling: every subsequent round must agree bitwise
-  // with a never-rebound reference window fed the same sequence.
-  TwoLevelWindow bound;
-  TwoLevelWindow reference;
-  auto feed_both = [&](double t) {
-    const auto a = bound.add_sample(Celsius{t});
-    const auto b = reference.add_sample(Celsius{t});
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (a.has_value() && b.has_value()) {
-      EXPECT_EQ(a->level1_delta.value(), b->level1_delta.value());
-      EXPECT_EQ(a->level2_delta.value(), b->level2_delta.value());
-      EXPECT_EQ(a->level1_average.value(), b->level1_average.value());
-      EXPECT_EQ(a->level2_valid, b->level2_valid);
+  std::optional<WindowRound> add_sample(double t) {
+    level1_.push_back(t);
+    if (level1_.size() < cfg_.level1_size) {
+      return std::nullopt;
+    }
+    const std::size_t half = cfg_.level1_size / 2;
+    double first = 0.0;
+    double second = 0.0;
+    double total = 0.0;
+    for (std::size_t i = 0; i < level1_.size(); ++i) {
+      total += level1_[i];
+      (i < half ? first : second) += level1_[i];
+    }
+    WindowRound round;
+    round.level1_delta = CelsiusDelta{second - first};
+    round.level1_average = Celsius{total / static_cast<double>(cfg_.level1_size)};
+    fifo_.push_back(round.level1_average.value());
+    if (fifo_.size() > cfg_.level2_size) {
+      fifo_.pop_front();
+    }
+    if (fifo_.size() >= 2) {
+      round.level2_delta = CelsiusDelta{fifo_.back() - fifo_.front()};
+      round.level2_valid = true;
+    }
+    level1_.clear();
+    return round;
+  }
+
+  void reset() {
+    level1_.clear();
+    fifo_.clear();
+  }
+
+  [[nodiscard]] std::size_t level1_fill() const { return level1_.size(); }
+  [[nodiscard]] const std::deque<double>& fifo() const { return fifo_; }
+
+ private:
+  WindowConfig cfg_;
+  std::vector<double> level1_;
+  std::deque<double> fifo_;
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &v, sizeof out);
+  return out;
+}
+
+TEST_P(WindowGeometrySweep, MatchesReferenceThroughFifoWrapsAndReset) {
+  const WindowConfig cfg = geometry();
+  TwoLevelWindow w{cfg};
+  ReferenceWindow ref{cfg};
+  std::size_t sample = 0;
+  std::size_t rounds = 0;
+  auto feed = [&](std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k, ++sample) {
+      // Irregular, non-dyadic values so every sum rounds.
+      const double x = static_cast<double>(sample);
+      const double t = 45.0 + 6.0 * std::sin(0.37 * x) + 0.013 * static_cast<double>(sample % 7);
+      const auto got = w.add_sample(Celsius{t});
+      const auto want = ref.add_sample(t);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "sample " << sample;
+      if (got.has_value()) {
+        ++rounds;
+        EXPECT_EQ(bits(got->level1_delta.value()), bits(want->level1_delta.value()));
+        EXPECT_EQ(bits(got->level2_delta.value()), bits(want->level2_delta.value()));
+        EXPECT_EQ(bits(got->level1_average.value()), bits(want->level1_average.value()));
+        EXPECT_EQ(got->level2_valid, want->level2_valid);
+      }
+      ASSERT_EQ(w.level1_fill(), ref.level1_fill()) << "sample " << sample;
+      ASSERT_EQ(w.level2_fill(), ref.fifo().size()) << "sample " << sample;
+      if (!ref.fifo().empty()) {
+        EXPECT_EQ(bits(w.level2_front().value()), bits(ref.fifo().front()));
+        EXPECT_EQ(bits(w.level2_rear().value()), bits(ref.fifo().back()));
+      }
     }
   };
-  for (int i = 0; i < 6; ++i) {  // one full round + 2 samples in flight
-    feed_both(40.0 + 0.3 * i);
-  }
-  ASSERT_EQ(bound.level1_fill(), 2u);
-  ASSERT_EQ(bound.level2_fill(), 1u);
+  // Three full FIFO wraps plus one round, then half a round in flight.
+  const std::size_t wrap_rounds = 3 * cfg.level2_size + 1;
+  feed(wrap_rounds * cfg.level1_size + cfg.level1_size / 2);
+  ASSERT_EQ(rounds, wrap_rounds);
+  ASSERT_EQ(w.level1_fill(), cfg.level1_size / 2);
+  w.reset();
+  ref.reset();
+  ASSERT_EQ(w.level1_fill(), 0u);
+  ASSERT_EQ(w.level2_fill(), 0u);
+  // The same again after the reset, with the FIFO head wherever it was left.
+  feed(wrap_rounds * cfg.level1_size + 1);
+  EXPECT_EQ(rounds, 2 * wrap_rounds);
+}
 
-  std::vector<double> level1(bound.config().level1_size);
-  std::vector<double> level2(bound.config().level2_size);
-  std::size_t fill = 0;
-  std::size_t head = 0;
-  std::size_t count = 0;
-  WindowSlots slots;
-  slots.level1 = level1.data();
-  slots.level2 = level2.data();
-  slots.level1_fill = &fill;
-  slots.level2_head = &head;
-  slots.level2_count = &count;
-  bound.bind_state(slots);
+INSTANTIATE_TEST_SUITE_P(EvenSizes, WindowGeometrySweep,
+                         ::testing::Values(std::pair<std::size_t, std::size_t>{2, 2},
+                                           std::pair<std::size_t, std::size_t>{4, 5},
+                                           std::pair<std::size_t, std::size_t>{6, 3},
+                                           std::pair<std::size_t, std::size_t>{8, 16},
+                                           std::pair<std::size_t, std::size_t>{16, 16}));
 
-  // Contents carried over into the external slots...
-  EXPECT_EQ(fill, 2u);
-  EXPECT_EQ(count, 1u);
-  EXPECT_EQ(bound.level2_front().value(), reference.level2_front().value());
-  // ...and behaviour is unchanged through rounds, FIFO wraps and a reset.
-  for (int i = 0; i < 30; ++i) {
-    feed_both(45.0 - 0.2 * i);
+TEST(TwoLevelWindow, CopyMidRoundEvolvesIndependently) {
+  // A window is a plain value: a copy taken mid-round with rounds already in
+  // the FIFO carries the whole history, tracks the original bitwise when
+  // fed the same stream, and never writes through to it.
+  TwoLevelWindow original;
+  for (int i = 0; i < 14; ++i) {  // three full rounds + 2 samples in flight
+    original.add_sample(Celsius{40.0 + 0.3 * i});
   }
-  bound.reset();
-  reference.reset();
-  EXPECT_EQ(fill, 0u);
-  for (int i = 0; i < 12; ++i) {
-    feed_both(50.0 + 0.5 * i);
+  ASSERT_EQ(original.level1_fill(), 2u);
+  ASSERT_EQ(original.level2_fill(), 3u);
+
+  TwoLevelWindow copy = original;
+  for (int i = 0; i < 30; ++i) {  // rounds, FIFO wraps, then a reset
+    const double t = 45.0 - 0.2 * i;
+    const auto a = original.add_sample(Celsius{t});
+    const auto b = copy.add_sample(Celsius{t});
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (a.has_value()) {
+      EXPECT_EQ(bits(a->level1_delta.value()), bits(b->level1_delta.value()));
+      EXPECT_EQ(bits(a->level2_delta.value()), bits(b->level2_delta.value()));
+      EXPECT_EQ(bits(a->level1_average.value()), bits(b->level1_average.value()));
+      EXPECT_EQ(a->level2_valid, b->level2_valid);
+    }
+    ASSERT_EQ(copy.level1_fill(), original.level1_fill());
+    ASSERT_EQ(copy.level2_fill(), original.level2_fill());
+    EXPECT_EQ(bits(copy.level2_front().value()), bits(original.level2_front().value()));
+    EXPECT_EQ(bits(copy.level2_rear().value()), bits(original.level2_rear().value()));
   }
+
+  // Feeding only the copy leaves the original exactly where it was.
+  const std::size_t fill = original.level1_fill();
+  const std::size_t count = original.level2_fill();
+  const std::uint64_t front = bits(original.level2_front().value());
+  const std::uint64_t rear = bits(original.level2_rear().value());
+  for (int i = 0; i < 9; ++i) {
+    copy.add_sample(Celsius{60.0 + i});
+  }
+  copy.reset();
+  EXPECT_EQ(original.level1_fill(), fill);
+  EXPECT_EQ(original.level2_fill(), count);
+  EXPECT_EQ(bits(original.level2_front().value()), front);
+  EXPECT_EQ(bits(original.level2_rear().value()), rear);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -252,6 +254,60 @@ TEST(DaemonLifecycle, ClientClosingMidResponseIsDroppedNotFatal) {
   ::close(fd);
   runner.join();
   EXPECT_GE(d.stats().clients_accepted, 5u);
+}
+
+TEST(DaemonLifecycle, OverlongLineIsRejectedAndDropped) {
+  // A client that never sends '\n' must not grow its line buffer without
+  // bound: past the request-length limit it gets one ERR and is dropped,
+  // and the server keeps answering everyone else.
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+
+  const int hog = connect_client(dc.socket_path);
+  ASSERT_GE(hog, 0);
+  const timeval timeout{2, 0};
+  ASSERT_EQ(::setsockopt(hog, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  const std::string flood(64 * 1024, 'x');
+  // The server may hang up before taking all of it; EPIPE then is fine.
+  for (std::size_t sent = 0; sent < flood.size();) {
+    const ssize_t n = ::send(hog, flood.data() + sent, flood.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      break;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  bool eof = false;
+  char chunk[256];
+  for (;;) {
+    const ssize_t n = ::read(hog, chunk, sizeof chunk);
+    if (n > 0) {
+      reply.append(chunk, static_cast<std::size_t>(n));
+      continue;
+    }
+    // Closing a UNIX socket with unread input reports ECONNRESET once to the
+    // peer; the read after it sees the EOF.
+    if (n < 0 && errno == ECONNRESET) {
+      continue;
+    }
+    eof = n == 0;  // n < 0 with EAGAIN: the 2 s receive timeout expired
+    break;
+  }
+  ::close(hog);
+  EXPECT_EQ(reply, "ERR line-too-long\n");
+  EXPECT_TRUE(eof) << "the oversized client was not dropped";
+
+  const int fd = connect_client(dc.socket_path);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(request(fd, "ping"), "OK pong\n");
+  EXPECT_EQ(request(fd, "shutdown"), "OK shutting-down\n");
+  ::close(fd);
+  runner.join();
 }
 
 TEST(DaemonLifecycle, ShutdownMidDrainLeavesReadableSpill) {
