@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include "common/assert.hpp"
+#include "common/log.hpp"
 
 namespace thermctl::cluster {
 
@@ -36,8 +37,21 @@ Watts Cluster::total_power() const {
 }
 
 void Cluster::settle_all() {
-  for (auto& n : nodes_) {
-    n->settle();
+  // Node::settle's stages run stage-major: each stage over every node, then
+  // one batched equilibrium solve of the whole fleet. A stage and a solve
+  // only touch their node's own column, so every node sees exactly the
+  // sequence Node::settle would run for it alone.
+  std::size_t capped = 0;
+  for (int stage = 0; stage < Node::kSettleStages; ++stage) {
+    if (stage > 0) {
+      capped += fleet_->batch().settle_range(0, nodes_.size());
+    }
+    for (auto& n : nodes_) {
+      n->settle_stage(stage);
+    }
+  }
+  if (capped != 0) {
+    THERMCTL_LOG_WARN("cluster", "%zu node equilibrium solves hit the iteration cap", capped);
   }
 }
 

@@ -154,26 +154,49 @@ void Node::step(Seconds dt) {
 }
 
 void Node::settle() {
-  cpu_.set_utilization(Utilization{*util_});
-  cpu_.set_die_temperature(package_.die_temperature());
-  package_.set_cpu_power(cpu_.power());
-  fan_.settle();
-  package_.set_airflow(fan_.airflow());
-  package_.settle();
-  // One more pass so leakage (a function of the settled temperature) and the
-  // chip's auto curve are consistent with the equilibrium.
-  cpu_.set_die_temperature(package_.die_temperature());
-  package_.set_cpu_power(cpu_.power());
-  package_.settle();
-  chip_.set_measured_temperature(package_.die_temperature());
-  fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                        : chip_.output_duty());
-  fan_.settle();
-  package_.set_airflow(fan_.airflow());
-  package_.settle();
-  chip_.set_measured_temperature(package_.die_temperature());
-  chip_.set_measured_rpm(fan_.rpm());
-  sensor_.sample();
+  std::size_t capped = 0;
+  for (int stage = 0; stage < kSettleStages; ++stage) {
+    if (stage > 0) {
+      capped += package_.settle();
+    }
+    settle_stage(stage);
+  }
+  if (capped != 0) {
+    THERMCTL_LOG_WARN("node", "node %d: %zu equilibrium solves hit the iteration cap", id_,
+                      capped);
+  }
+}
+
+void Node::settle_stage(int stage) {
+  switch (stage) {
+    case 0:
+      cpu_.set_utilization(Utilization{*util_});
+      cpu_.set_die_temperature(package_.die_temperature());
+      package_.set_cpu_power(cpu_.power());
+      fan_.settle();
+      package_.set_airflow(fan_.airflow());
+      break;
+    case 1:
+      // One more pass so leakage (a function of the settled temperature) and
+      // the chip's auto curve are consistent with the equilibrium.
+      cpu_.set_die_temperature(package_.die_temperature());
+      package_.set_cpu_power(cpu_.power());
+      break;
+    case 2:
+      chip_.set_measured_temperature(package_.die_temperature());
+      fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
+                                            : chip_.output_duty());
+      fan_.settle();
+      package_.set_airflow(fan_.airflow());
+      break;
+    case 3:
+      chip_.set_measured_temperature(package_.die_temperature());
+      chip_.set_measured_rpm(fan_.rpm());
+      sensor_.sample();
+      break;
+    default:
+      THERMCTL_ASSERT(false, "settle stage out of range");
+  }
 }
 
 }  // namespace thermctl::cluster

@@ -20,6 +20,11 @@
 // A Node's hot state lives in a FleetState slot (fleet_state.hpp): a
 // cluster's nodes share one fleet, and a standalone Node owns a one-slot
 // fleet of its own. The Node is a view over that slot.
+//
+// Settling (experiment priming) alternates device stages with equilibrium
+// solves of the node's package column. Cluster::settle_all runs each stage
+// over every node and solves the whole fleet batch in between, which leaves
+// each node with the same bits as settling it alone.
 #pragma once
 
 #include <cstdint>
@@ -139,10 +144,24 @@ class Node {
   [[nodiscard]] sysfs::BmcEndpoint& bmc() { return bmc_; }
 
   /// Brings the node to thermal equilibrium at the current load (experiment
-  /// priming: the machine has been idling before the job starts).
+  /// priming: the machine has been idling before the job starts). Runs the
+  /// settle stages with an equilibrium solve of the node's package between
+  /// consecutive stages; logs a warning if a solve hit its iteration cap.
   void settle();
 
  private:
+  friend class Cluster;  // settles a whole fleet stage by stage
+
+  /// Device work around the package solves: stage 0 loads the CPU power and
+  /// the fan's steady airflow, stage 1 refreshes leakage at the settled
+  /// temperature, stage 2 moves the fan to the chip curve (or BMC override)
+  /// and stage 3 updates the chip inputs and samples the sensor. Settling is
+  /// stage 0, solve, stage 1, solve, stage 2, solve, stage 3; a stage only
+  /// touches this node's own slot, so Cluster::settle_all may run each stage
+  /// over every node and solve the whole fleet at once in between.
+  void settle_stage(int stage);
+  static constexpr int kSettleStages = 4;
+
   Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned);
 
   void apply_protection(Celsius die);

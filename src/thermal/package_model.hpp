@@ -97,8 +97,9 @@ class PackageModel {
   /// is the same arithmetic on one column.
   void step(Seconds dt) { batch_.step_one(slot_, dt); }
 
-  /// Primes the model at equilibrium for the current power/airflow.
-  void settle() { batch_.settle(slot_); }
+  /// Primes the model at equilibrium for the current power/airflow. Returns
+  /// 1 if the solve hit its iteration cap unconverged, else 0.
+  std::size_t settle() { return batch_.settle(slot_); }
 
   /// Hottest read in the simulator (several per node per step): a cell
   /// pointer bound at construction.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/assert.hpp"
 
@@ -232,11 +233,16 @@ namespace {
 // emit one straight-line SIMD loop instead of versioning every invocation
 // with runtime overlap tests. noinline keeps the restrict contract from
 // being discarded by inlining back into the (aliasing-opaque) caller.
+//
+// `Count` is std::size_t for a runtime length, or a std::integral_constant
+// for settle_range's full blocks: at -O2 GCC's default cost model only
+// vectorizes loops whose trip count it knows. Either way the per-element
+// operations are the same, so the bits are too.
+template <typename Count>
 [[gnu::noinline]] void flux_accumulate(double* __restrict f, const double* __restrict tk,
                                        const double* __restrict tn,
-                                       const double* __restrict g, std::size_t begin,
-                                       std::size_t end) {
-  for (std::size_t b = begin; b < end; ++b) {
+                                       const double* __restrict g, Count n) {
+  for (std::size_t b = 0; b < n; ++b) {
     f[b] += (tn[b] - tk[b]) * g[b];
   }
 }
@@ -246,6 +252,25 @@ namespace {
                                    std::size_t begin, std::size_t end) {
   for (std::size_t b = begin; b < end; ++b) {
     tk[b] += h * (p[b] + f[b]) / c;
+  }
+}
+
+// One settle iteration's update of node row `tk` over a block of n columns:
+// t' = t + h*(p+f)/c, the same operations in the same order as temp_update
+// with a per-column h. |t' - t| folds into the column's running max exactly
+// as std::max(delta, d) would. Frozen columns (live == 0) keep their bits:
+// the new value is selected away, never blended arithmetically.
+template <typename Count>
+[[gnu::noinline]] void settle_update(double* __restrict tk, const double* __restrict f,
+                                     const double* __restrict p, double c,
+                                     const double* __restrict h, const double* __restrict live,
+                                     double* __restrict delta, Count n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double t = tk[j];
+    const double next = t + h[j] * (p[j] + f[j]) / c;
+    const double d = std::abs(next - t);
+    delta[j] = delta[j] < d ? d : delta[j];
+    tk[j] = live[j] != 0.0 ? next : t;
   }
 }
 
@@ -266,7 +291,8 @@ void RcBatch::euler_substep_range(double h, std::size_t begin, std::size_t end) 
     }
     const std::size_t slot_end = csr_offset_[k + 1];
     for (std::size_t s = csr_offset_[k]; s < slot_end; ++s) {
-      flux_accumulate(f, tk, row(temp_, csr_neighbor_[s]), row(cond_, s), begin, end);
+      flux_accumulate(f + begin, tk + begin, row(temp_, csr_neighbor_[s]) + begin,
+                      row(cond_, s) + begin, end - begin);
     }
   }
   for (std::size_t k = 0; k < node_count_; ++k) {
@@ -303,25 +329,67 @@ void RcBatch::step_range(Seconds dt, std::size_t begin, std::size_t end) {
   }
 }
 
-void RcBatch::settle(std::size_t b, int max_iterations, double tolerance_kelvin) {
-  THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // March the instance with large (but stable) steps until quiescent, one
-  // column at a time.
-  const double h = min_time_constant(b).value() / 2.0;
-  std::vector<double> before(node_count_);
-  for (int it = 0; it < max_iterations; ++it) {
+std::size_t RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iterations,
+                                  double tolerance_kelvin) {
+  THERMCTL_ASSERT(begin <= end && end <= instances_, "instance range out of bounds");
+  // March blocks of instances with large (but stable) steps until each is
+  // quiescent. Every column keeps its own step h = min_tau/2 (read through
+  // min_time_constant(), so the stale-plan quirk is per instance as before),
+  // its own convergence test and its own iteration budget; the block only
+  // shares the loop. A column that has converged is frozen by select, so its
+  // bits stop moving on the iteration it would have returned on alone.
+  std::size_t capped = 0;
+  for (std::size_t i = begin; i < end; i += kSettleBlock) {
+    const std::size_t n = std::min(kSettleBlock, end - i);
+    capped += n == kSettleBlock
+                  ? settle_block(i, std::integral_constant<std::size_t, kSettleBlock>{},
+                                 max_iterations, tolerance_kelvin)
+                  : settle_block(i, n, max_iterations, tolerance_kelvin);
+  }
+  return capped;
+}
+
+template <typename Count>
+std::size_t RcBatch::settle_block(std::size_t i, Count n, int max_iterations,
+                                  double tolerance_kelvin) {
+  double h[kSettleBlock];
+  double delta[kSettleBlock];
+  double live[kSettleBlock];
+  for (std::size_t j = 0; j < n; ++j) {
+    h[j] = min_time_constant(i + j).value() / 2.0;
+    live[j] = 1.0;
+  }
+  std::size_t live_count = n;
+  for (int it = 0; it < max_iterations && live_count > 0; ++it) {
+    std::fill_n(delta, n, 0.0);
     for (std::size_t k = 0; k < node_count_; ++k) {
-      before[k] = row(temp_, k)[b];
+      if (fixed_[k]) {
+        continue;
+      }
+      double* f = row(flux_, k) + i;
+      std::fill_n(f, n, 0.0);
+      const std::size_t slot_end = csr_offset_[k + 1];
+      for (std::size_t s = csr_offset_[k]; s < slot_end; ++s) {
+        flux_accumulate(f, row(temp_, k) + i, row(temp_, csr_neighbor_[s]) + i,
+                        row(cond_, s) + i, n);
+      }
     }
-    euler_substep_range(h, b, b + 1);
-    double delta = 0.0;
+    // Fixed nodes never move, so their |dT| = 0 would leave the running max
+    // unchanged; skipping them keeps the node-order max bit-identical.
     for (std::size_t k = 0; k < node_count_; ++k) {
-      delta = std::max(delta, std::abs(row(temp_, k)[b] - before[k]));
+      if (fixed_[k]) {
+        continue;
+      }
+      settle_update(row(temp_, k) + i, row(flux_, k) + i, row(power_, k) + i, capacitance_[k],
+                    h, live, delta, n);
     }
-    if (delta < tolerance_kelvin) {
-      return;
+    live_count = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      live[j] = (live[j] != 0.0 && !(delta[j] < tolerance_kelvin)) ? 1.0 : 0.0;
+      live_count += live[j] != 0.0 ? 1 : 0;
     }
   }
+  return live_count;
 }
 
 std::size_t RcBatch::memory_bytes() const {

@@ -22,9 +22,15 @@
 // accumulation visits half-edges in edge-insertion order, min-time-constant
 // accumulation runs in edge-insertion order, and the per-instance substep
 // plan is recomputed whenever a conductance or dt changes — with one known
-// quirk: reading min_time_constant() (which settle() does) clears the
+// quirk: reading min_time_constant() (which settle_range() does) clears the
 // recompute flag without refreshing an already-cached plan, so the next
 // step at an unchanged dt runs on the old substep count.
+//
+// The equilibrium solve batches the same way: settle_range marches blocks of
+// instances in lockstep, each with its own step, convergence test and
+// iteration budget, freezing a converged column by select — so every column
+// lands on the bits the one-column solve (settle(b) == settle_range(b, b+1))
+// gives it.
 //
 // Structurally different networks fail `matches()` and need a batch of their
 // own; the batch makes no attempt to mask or gather across structural
@@ -86,11 +92,20 @@ class RcBatch {
   void step_all(Seconds dt) { step_range(dt, 0, instances_); }
   void step_one(std::size_t b, Seconds dt) { step_range(dt, b, b + 1); }
 
-  /// Solves instance `b` for the steady state under its current powers and
-  /// resistances by marching with large stable steps (h = min_tau/2) until
-  /// quiescent, and leaves the result in its temperatures. Used to prime
-  /// experiments that start from thermal equilibrium.
-  void settle(std::size_t b, int max_iterations = 200000, double tolerance_kelvin = 1e-7);
+  /// Solves instances [begin, end) for the steady state under their current
+  /// powers and resistances by marching with large stable steps
+  /// (h = min_tau/2, per instance) until quiescent, and leaves the result in
+  /// their temperatures. Used to prime experiments that start from thermal
+  /// equilibrium. Blocks of instances march in lockstep; each instance keeps
+  /// its own step, convergence test (max node |dT| < tolerance) and
+  /// iteration budget, so every column is bit-identical to settling it
+  /// alone. Returns how many instances hit `max_iterations` unconverged.
+  std::size_t settle_range(std::size_t begin, std::size_t end, int max_iterations = 200000,
+                           double tolerance_kelvin = 1e-7);
+  std::size_t settle(std::size_t b, int max_iterations = 200000,
+                     double tolerance_kelvin = 1e-7) {
+    return settle_range(b, b + 1, max_iterations, tolerance_kelvin);
+  }
 
   /// Stable pointers to one instance's state cells, for per-node views
   /// (PackageModel) that access a fixed (instance, node) coordinate every
@@ -116,6 +131,15 @@ class RcBatch {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
+  /// Instances settle_range marches in lockstep: enough to amortise the
+  /// per-row kernel calls, few enough that a block's rows stay in L1.
+  static constexpr std::size_t kSettleBlock = 256;
+
+  /// Marches the block of `n` instances starting at `i` (n <= kSettleBlock)
+  /// to quiescence; returns how many hit `max_iterations`.
+  template <typename Count>
+  std::size_t settle_block(std::size_t i, Count n, int max_iterations, double tolerance_kelvin);
+
   /// One Jacobi substep of length `h` for instances [begin, end).
   void euler_substep_range(double h, std::size_t begin, std::size_t end);
   /// Full per-node tau rebuild for instance b. Only needed at construction;

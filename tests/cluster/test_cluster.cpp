@@ -1,5 +1,8 @@
 #include "cluster/cluster.hpp"
 
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 namespace thermctl::cluster {
@@ -70,6 +73,53 @@ TEST(Cluster, IpmiFanOverridePerNode) {
   }
   EXPECT_NEAR(cluster.node(1).fan().duty().percent(), 95.0, 0.5);
   EXPECT_LT(cluster.node(0).fan().duty().percent(), 50.0);
+}
+
+TEST(Cluster, SettleAllMatchesStandaloneNodes) {
+  // settle_all runs the settle stages stage-major with one batched solve of
+  // the whole fleet in between; each node must come out bit-identical to a
+  // standalone node settled alone. 300 nodes span a partial solve block.
+  constexpr std::size_t kCount = 300;
+  constexpr std::size_t kOverride = 123;
+  const NodeParams base;  // sensor noise on: the per-node RNG streams must line up too
+  auto prepare = [](Node& node, std::size_t i) {
+    node.set_utilization(Utilization{0.25 * static_cast<double>(i % 5)});
+    node.package().set_ambient(Celsius{18.0 + static_cast<double>(i % 7)});
+    if (i == kOverride) {
+      ASSERT_EQ(node.bmc().set_fan_override(DutyCycle{85.0}), sysfs::IpmiCompletion::kOk);
+    }
+  };
+  Cluster cluster{kCount, base};
+  for (std::size_t i = 0; i < kCount; ++i) {
+    prepare(cluster.node(i), i);
+  }
+  cluster.settle_all();
+
+  auto bits = [](double x) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+  };
+  for (std::size_t i = 0; i < kCount; ++i) {
+    NodeParams params = base;
+    params.seed = base.seed + i * 7919;
+    Node alone{static_cast<int>(i), params};
+    prepare(alone, i);
+    alone.settle();
+    Node& node = cluster.node(i);
+    ASSERT_EQ(bits(node.die_temperature().value()), bits(alone.die_temperature().value()))
+        << "node " << i;
+    ASSERT_EQ(bits(node.package().heatsink_temperature().value()),
+              bits(alone.package().heatsink_temperature().value()))
+        << "node " << i;
+    ASSERT_EQ(bits(node.fan().rpm().value()), bits(alone.fan().rpm().value())) << "node " << i;
+    ASSERT_EQ(bits(node.sensor_reading().value()), bits(alone.sensor_reading().value()))
+        << "node " << i;
+    ASSERT_EQ(bits(node.fan_chip().output_duty().percent()),
+              bits(alone.fan_chip().output_duty().percent()))
+        << "node " << i;
+  }
+  EXPECT_NEAR(cluster.node(kOverride).fan().duty().percent(), 85.0, 1e-9);
 }
 
 TEST(ClusterDeath, ZeroNodesAborts) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +197,12 @@ struct FillCase {
   int physical_modes;
 };
 
+// Test discovery appends the printed parameter to each listed test name;
+// without this gtest prints FillCase as raw bytes, padding included.
+void PrintTo(const FillCase& c, std::ostream* os) {
+  *os << "Pp=" << c.pp << " N=" << c.n << " M=" << c.physical_modes;
+}
+
 class ControlArrayFillSweep : public ::testing::TestWithParam<FillCase> {};
 
 TEST_P(ControlArrayFillSweep, InvariantsHoldForAllFills) {
@@ -240,8 +248,14 @@ std::vector<FillCase> fill_cases() {
   return cases;
 }
 
+// Names like Pp50_N100_M75 instead of gtest's default index suffix.
 INSTANTIATE_TEST_SUITE_P(PolicyGeometryGrid, ControlArrayFillSweep,
-                         ::testing::ValuesIn(fill_cases()));
+                         ::testing::ValuesIn(fill_cases()),
+                         [](const ::testing::TestParamInfo<FillCase>& info) {
+                           return "Pp" + std::to_string(info.param.pp) + "_N" +
+                                  std::to_string(info.param.n) + "_M" +
+                                  std::to_string(info.param.physical_modes);
+                         });
 
 // ---- Exhaustive sweep: every Pp against awkward geometries ----
 //

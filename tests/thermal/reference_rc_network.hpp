@@ -39,6 +39,7 @@ class ReferenceRcNetwork {
   void set_resistance(EdgeId e, KelvinPerWatt r) { g_[e.index] = 1.0 / r.value(); }
   void set_power(NodeId n, Watts p) { power_[n.index] = p.value(); }
   void set_fixed_temperature(NodeId n, Celsius t) { temp_[n.index] = t.value(); }
+  void set_temperature(NodeId n, Celsius t) { temp_[n.index] = t.value(); }
   [[nodiscard]] double temperature(NodeId n) const { return temp_[n.index]; }
 
   [[nodiscard]] double min_time_constant() const {

@@ -215,6 +215,101 @@ TEST(RcBatch, SettleAndStalePlanQuirkMatchReference) {
   check("after settle");
 }
 
+TEST(RcBatch, SettleRangeMatchesReferencePerInstance) {
+  // settle_range marches blocks of instances in lockstep, but every column
+  // must land on the bits of settling it alone: its own h (stale plan and
+  // all), its own convergence iteration, its own cap. 1100 instances leave a
+  // partial last block, and the range starts off a block boundary.
+  constexpr std::size_t kCount = 1100;
+  constexpr std::size_t kBegin = 37;
+  constexpr std::size_t kAtRest = 500;  // zero power at ambient: converges on iteration 1
+  auto tmpl = make_package_wiring();
+  RcBatch batch{tmpl->net, kCount};
+  std::vector<ReferenceRcNetwork> refs(kCount, ReferenceRcNetwork{tmpl->net});
+
+  // Prime every instance's substep plan at dt.
+  const Seconds dt{1.0};
+  std::vector<int> primed(kCount);
+  for (std::size_t b = 0; b < kCount; ++b) {
+    const Watts p{b == kAtRest ? 0.0 : 5.0 + 0.9 * static_cast<double>(b % 97)};
+    const Celsius amb{18.0 + static_cast<double>(b % 11)};
+    batch.set_power(b, tmpl->die, p);
+    batch.set_fixed_temperature(b, tmpl->amb, amb);
+    refs[b].set_power(tmpl->die, p);
+    refs[b].set_fixed_temperature(tmpl->amb, amb);
+    primed[b] = refs[b].substeps(dt);
+  }
+  batch.step_all(dt);
+  for (auto& r : refs) {
+    r.step(dt);
+  }
+  // Two instances in three get a new convection resistance, some small
+  // enough to need more substeps than the primed plan: settle's
+  // min_time_constant read leaves those plans stale.
+  std::size_t stale = 0;
+  for (std::size_t b = 0; b < kCount; ++b) {
+    if (b % 3 != 0 && b != kAtRest) {
+      const KelvinPerWatt r{0.005 + 0.01 * static_cast<double>(b % 53)};
+      batch.set_resistance(b, tmpl->conv, r);
+      refs[b].set_resistance(tmpl->conv, r);
+      stale += refs[b].substeps(dt) != primed[b] ? 1 : 0;
+    }
+  }
+  ASSERT_GT(stale, 0u) << "the stale plan must be exercised";
+  const Celsius rest_amb{18.0 + static_cast<double>(kAtRest % 11)};
+  for (const NodeId n : {tmpl->die, tmpl->hs}) {
+    batch.set_temperature(kAtRest, n, rest_amb);
+    refs[kAtRest].set_temperature(n, rest_amb);
+  }
+
+  std::vector<double> untouched;
+  for (std::size_t b = 0; b < kBegin; ++b) {
+    untouched.push_back(batch.temperature(b, tmpl->die).value());
+  }
+  EXPECT_EQ(batch.settle_range(kBegin, kCount), 0u);
+  for (std::size_t b = kBegin; b < kCount; ++b) {
+    refs[b].settle();
+  }
+  for (std::size_t b = 0; b < kBegin; ++b) {
+    ASSERT_BITS_EQ(batch.temperature(b, tmpl->die).value(), untouched[b]) << "instance " << b;
+  }
+  auto check = [&](const char* what) {
+    for (std::size_t b = kBegin; b < kCount; ++b) {
+      for (const NodeId n : {tmpl->die, tmpl->hs, tmpl->amb}) {
+        ASSERT_BITS_EQ(batch.temperature(b, n).value(), refs[b].temperature(n))
+            << what << ": instance " << b << " node " << n.index;
+      }
+    }
+  };
+  check("after settle_range");
+  ASSERT_BITS_EQ(batch.temperature(kAtRest, tmpl->die).value(), rest_amb.value());
+
+  // The step after settling runs every instance on its primed plan.
+  batch.step_range(dt, kBegin, kCount);
+  for (std::size_t b = kBegin; b < kCount; ++b) {
+    refs[b].step(dt, primed[b]);
+  }
+  check("after the stale-plan step");
+}
+
+TEST(RcBatch, SettleRangeCountsInstancesThatHitTheCap) {
+  // Instance 0 is hot and far from equilibrium; instance 1 sits at rest at
+  // ambient with no power, so its first iteration moves nothing.
+  auto tmpl = make_package_wiring();
+  RcBatch batch{tmpl->net, 2};
+  batch.set_power(0, tmpl->die, Watts{80.0});
+  const Celsius amb = batch.temperature(1, tmpl->amb);
+  batch.set_power(1, tmpl->die, Watts{0.0});
+  batch.set_temperature(1, tmpl->die, amb);
+  batch.set_temperature(1, tmpl->hs, amb);
+
+  EXPECT_EQ(batch.settle_range(0, 2, 1), 1u);
+  EXPECT_EQ(batch.settle(0, 1), 1u);
+  EXPECT_EQ(batch.settle(1, 1), 0u);
+  EXPECT_EQ(batch.settle(0), 0u);
+  EXPECT_EQ(batch.settle(0, 1), 0u) << "a settled column is at equilibrium";
+}
+
 TEST(RcBatch, MatchesRejectsStructuralDifferences) {
   auto tmpl = make_package_wiring();
   RcBatch batch{tmpl->net, 1};
