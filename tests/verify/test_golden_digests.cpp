@@ -1,7 +1,9 @@
 // Golden digests — behaviour pinned as checked-in numbers.
 //
-// Every config of the oracle corpus (seed 20100913, 24 configs) and of a
-// fault/telemetry variant of it runs once; the digest of each result
+// Every config of the oracle corpus (seed 20100913, 24 configs), of a
+// fault/telemetry variant of it, and of the paper figures (Figs. 5-10 and
+// Table 1, each config built the way its bench builds it) runs once; the
+// digest of each result
 // (verify::digest_result: exactly the fields diff_results compares, doubles
 // by bit pattern) must equal its line in the table below. A refactor that
 // claims bit-identical behaviour keeps this table unchanged. A mismatch
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,6 +85,28 @@ constexpr GoldenLine kGolden[] = {
     {"variant", 21, 0x886634734ce4a366ULL},
     {"variant", 22, 0x742f09004bd889feULL},
     {"variant", 23, 0xce43dd0721cc9a08ULL},
+    {"fig05", 0, 0xc28003fd7dd77686ULL},
+    {"fig05", 1, 0x11ecf2c13d9c126bULL},
+    {"fig05", 2, 0x4d766526f0f40224ULL},
+    {"fig06", 0, 0xbbfae83bc3170c7eULL},
+    {"fig06", 1, 0x48b9a62ab17478a3ULL},
+    {"fig06", 2, 0xb5a83f5d2f5a9611ULL},
+    {"fig07", 0, 0xba494c8eb6c98d55ULL},
+    {"fig07", 1, 0x8399e2670a940c1fULL},
+    {"fig07", 2, 0x48b9a62ab17478a3ULL},
+    {"fig07", 3, 0xadc9a0e633994524ULL},
+    {"fig08", 0, 0xda0b7fd9bdbe0393ULL},
+    {"fig09", 0, 0xf30d739f2ff6e712ULL},
+    {"fig09", 1, 0xa46f9c559a284542ULL},
+    {"fig10", 0, 0xc399d82b9189df07ULL},
+    {"fig10", 1, 0x5e172f23211b3c2fULL},
+    {"fig10", 2, 0xfbf7d076fa44aa12ULL},
+    {"table1", 0, 0xf675638903b081a1ULL},
+    {"table1", 1, 0xa8cd177420608d0dULL},
+    {"table1", 2, 0x46468e0387f7bd45ULL},
+    {"table1", 3, 0x5e172f23211b3c2fULL},
+    {"table1", 4, 0xf30d739f2ff6e712ULL},
+    {"table1", 5, 0xa46f9c559a284542ULL},
 };
 // clang-format on
 
@@ -112,6 +137,137 @@ std::vector<core::ExperimentConfig> variant_set() {
     }
   }
   return configs;
+}
+
+/// The paper-figure configs, one set per figure, built exactly as the
+/// figure's bench builds them (same order as the bench's sweep).
+struct PaperSet {
+  const char* name;
+  std::vector<core::ExperimentConfig> configs;
+};
+
+std::vector<PaperSet> paper_sets() {
+  using core::DvfsPolicyKind;
+  using core::ExperimentConfig;
+  using core::FanPolicyKind;
+  using core::PolicyParam;
+  using core::WorkloadKind;
+  std::vector<PaperSet> sets;
+
+  PaperSet fig05{"fig05", {}};  // dynamic fan under cpu-burn, Pp sweep
+  for (int pp : {25, 50, 75}) {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = "fig05_pp" + std::to_string(pp);
+    cfg.nodes = 1;
+    cfg.workload = WorkloadKind::kCpuBurnCycles;
+    cfg.cpu_burn_duration = Seconds{300.0};
+    cfg.fan = FanPolicyKind::kDynamic;
+    cfg.pp = PolicyParam{pp};
+    cfg.telemetry.trace = true;
+    cfg.telemetry.metrics = true;
+    fig05.configs.push_back(cfg);
+  }
+  sets.push_back(fig05);
+
+  PaperSet fig06{"fig06", {}};  // dynamic vs static curve vs constant fan
+  const std::pair<const char*, FanPolicyKind> fig06_fans[] = {
+      {"fig06_static", FanPolicyKind::kStaticCurve},
+      {"fig06_dynamic", FanPolicyKind::kDynamic},
+      {"fig06_constant", FanPolicyKind::kConstantDuty},
+  };
+  for (const auto& [name, fan] : fig06_fans) {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = name;
+    cfg.workload = WorkloadKind::kNpbBt;
+    cfg.fan = fan;
+    cfg.pp = PolicyParam{50};
+    cfg.max_duty = DutyCycle{75.0};
+    cfg.constant_duty = DutyCycle{75.0};
+    fig06.configs.push_back(cfg);
+  }
+  sets.push_back(fig06);
+
+  PaperSet fig07{"fig07", {}};  // maximum-PWM sweep
+  for (int cap : {25, 50, 75, 100}) {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = "fig07_cap" + std::to_string(cap);
+    cfg.workload = WorkloadKind::kNpbBt;
+    cfg.fan = FanPolicyKind::kDynamic;
+    cfg.pp = PolicyParam{50};
+    cfg.max_duty = DutyCycle{static_cast<double>(cap)};
+    fig07.configs.push_back(cfg);
+  }
+  sets.push_back(fig07);
+
+  PaperSet fig08{"fig08", {}};  // tDVFS with the static fan curve
+  {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = "fig08";
+    cfg.workload = WorkloadKind::kNpbLu;
+    cfg.fan = FanPolicyKind::kStaticCurve;
+    cfg.dvfs = DvfsPolicyKind::kTdvfs;
+    cfg.pp = PolicyParam{50};
+    cfg.max_duty = DutyCycle{25.0};
+    cfg.engine.cooldown = Seconds{60.0};
+    fig08.configs.push_back(cfg);
+  }
+  sets.push_back(fig08);
+
+  PaperSet fig09{"fig09", {}};  // tDVFS vs CPUSPEED under the dynamic fan
+  const std::pair<const char*, DvfsPolicyKind> fig09_dvfs[] = {
+      {"fig09_cpuspeed", DvfsPolicyKind::kCpuspeed},
+      {"fig09_tdvfs", DvfsPolicyKind::kTdvfs},
+  };
+  for (const auto& [name, dvfs] : fig09_dvfs) {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = name;
+    cfg.workload = WorkloadKind::kNpbBt;
+    cfg.fan = FanPolicyKind::kDynamic;
+    cfg.dvfs = dvfs;
+    cfg.pp = PolicyParam{50};
+    cfg.max_duty = DutyCycle{25.0};
+    fig09.configs.push_back(cfg);
+  }
+  sets.push_back(fig09);
+
+  PaperSet fig10{"fig10", {}};  // hybrid fan + tDVFS on BT.B, shared Pp
+  for (int pp : {25, 50, 75}) {
+    ExperimentConfig cfg = core::paper_platform();
+    cfg.name = "fig10_pp" + std::to_string(pp);
+    cfg.workload = WorkloadKind::kNpbBt;
+    cfg.fan = FanPolicyKind::kDynamic;
+    cfg.dvfs = DvfsPolicyKind::kTdvfs;
+    cfg.pp = PolicyParam{pp};
+    cfg.max_duty = DutyCycle{50.0};
+    cfg.telemetry.trace = true;
+    cfg.telemetry.metrics = true;
+    fig10.configs.push_back(cfg);
+  }
+  sets.push_back(fig10);
+
+  PaperSet table1{"table1", {}};  // CPUSPEED vs tDVFS per fan cap
+  for (int cap : {75, 50, 25}) {
+    for (DvfsPolicyKind dvfs : {DvfsPolicyKind::kCpuspeed, DvfsPolicyKind::kTdvfs}) {
+      ExperimentConfig cfg = core::paper_platform();
+      cfg.name = "table1";
+      cfg.workload = WorkloadKind::kNpbBt;
+      cfg.fan = FanPolicyKind::kDynamic;
+      cfg.dvfs = dvfs;
+      cfg.pp = PolicyParam{50};
+      cfg.max_duty = DutyCycle{static_cast<double>(cap)};
+      table1.configs.push_back(cfg);
+    }
+  }
+  sets.push_back(table1);
+  return sets;
+}
+
+std::size_t paper_config_count() {
+  std::size_t n = 0;
+  for (const PaperSet& set : paper_sets()) {
+    n += set.configs.size();
+  }
+  return n;
 }
 
 const GoldenLine* find_line(const std::string& set, std::size_t index) {
@@ -165,11 +321,33 @@ TEST(GoldenDigests, FaultAndTelemetryVariantMatchesTable) {
   EXPECT_TRUE(bad.empty()) << "actual table lines for mismatching configs:" << joined(bad);
 }
 
+TEST(GoldenDigests, PaperFiguresMatchTable) {
+  for (const PaperSet& set : paper_sets()) {
+    const std::vector<std::string> bad = mismatches(set.name, set.configs);
+    EXPECT_TRUE(bad.empty()) << "actual table lines for mismatching " << set.name
+                             << " configs:" << joined(bad);
+  }
+}
+
 TEST(GoldenDigests, TableCoversBothSetsExactly) {
-  EXPECT_EQ(std::size(kGolden), 2 * kCorpusSize);
+  std::size_t corpus_lines = 0;
+  for (const GoldenLine& line : kGolden) {
+    const std::string set = line.set;
+    corpus_lines += (set == "corpus" || set == "variant") ? 1 : 0;
+  }
+  EXPECT_EQ(corpus_lines, 2 * kCorpusSize);
   for (std::size_t i = 0; i < kCorpusSize; ++i) {
     EXPECT_NE(find_line("corpus", i), nullptr) << i;
     EXPECT_NE(find_line("variant", i), nullptr) << i;
+  }
+}
+
+TEST(GoldenDigests, TableCoversPaperFiguresExactly) {
+  EXPECT_EQ(std::size(kGolden), 2 * kCorpusSize + paper_config_count());
+  for (const PaperSet& set : paper_sets()) {
+    for (std::size_t i = 0; i < set.configs.size(); ++i) {
+      EXPECT_NE(find_line(set.name, i), nullptr) << set.name << " " << i;
+    }
   }
 }
 
