@@ -40,8 +40,8 @@ class Cluster {
   [[nodiscard]] FleetState* fleet() { return fleet_.get(); }
   [[nodiscard]] const FleetState* fleet() const { return fleet_.get(); }
 
-  /// The batched device/OS sweep over the fleet arrays — how the engine
-  /// steps every node.
+  /// The per-node step over the fleet arrays — how the engine steps every
+  /// node, and what each node's Node::step runs over its own slot.
   [[nodiscard]] FleetSweep& sweep() { return *sweep_; }
 
   [[nodiscard]] sysfs::IpmiNetwork& ipmi() { return ipmi_; }
@@ -56,6 +56,7 @@ class Cluster {
   void settle_all();
 
  private:
+  NodeParams base_;                    // the sweep reads its constants here
   std::unique_ptr<FleetState> fleet_;  // must outlive the nodes viewing it
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> raw_;

@@ -1,32 +1,31 @@
-// Batched per-node device/OS sweep over FleetState's SoA arrays.
+// The per-node physics step, as contiguous passes over FleetState's arrays.
 //
-// RcBatch batches the RC physics, but the per-step device/OS work —
-// utilization latching, fan rotor dynamics, the CPU power model, the fan
-// chip's measurement protocol, meter integration, counter advance, the
-// protection ladder, jiffy accounting and the sensor sampling schedule — is
-// an object-graph walk per node in Node::step. At fleet scale such walks
-// dominate:
-// each Node's scalars sit on their own cache lines, so 100k nodes per step
-// touch 100k scattered objects. With every hot field now fleet-resident
-// (bind_state across CpuDevice/FanDevice/Adt7467/PowerMeter/ThermalSensor/
-// PackageModel/Node), FleetSweep replays Node::step (split at the RC solve)
-// and the sensor sampling schedule as contiguous array passes. It is the
-// only way the engine steps a cluster.
+// Every physics step of every node runs here: utilization latching, fan
+// rotor dynamics, the CPU power model, the fan chip's measurement protocol,
+// meter integration, counter advance, the protection ladder, jiffy
+// accounting and the sensor sampling schedule. The engine steps a cluster by
+// pre_range → RcBatch::step_range → post_range over a shard of slots, and
+// Node::step runs the same three calls over its own slot: a standalone Node
+// owns a one-node sweep over its one-slot fleet, a cluster node uses its
+// cluster's sweep. There is no second per-node step.
 //
-// Bit-exactness contract: for every node, the sweep performs the *same
-// arithmetic in the same per-node order* as Node::step — it reads and writes
-// the very same storage the Node objects are bound to. Cross-node reordering
-// (pass-at-a-time instead of node-at-a-time) is safe because the pre/post
-// passes only touch their own node's state. The FleetState unit tests hold
-// the sweep to bitwise identity with standalone Nodes stepped by
-// Node::step, and the golden-digest tests pin the whole rig's behaviour.
+// Each pass is one loop over slots, and each slot's work only touches that
+// node's own state, so pass-at-a-time order over a range gives every node
+// the same bits as stepping it alone. The device formulas are not restated
+// here: the sweep calls the same inline functions over plain values that the
+// device classes call (hw::cpu_power_w, hw::fan_rotor_step,
+// hw::meter_integrate, hw::adt7467_latch_tach, ...), with the constants read
+// from the NodeParams the sweep was built from. A test reference
+// (tests/cluster/reference_node_step.hpp) replays the step as a sequence of
+// device-method calls and holds the sweep to it bitwise; the golden-digest
+// tests pin the whole rig's behaviour.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
 // the register object, and a due sensor schedule samples through the node's
-// ThermalSensor (per-node RNG). The sweep caches one NodeParams' constants,
-// so it requires a homogeneous fleet — which Cluster guarantees by building
-// every node from one base params.
+// ThermalSensor (per-node RNG). One NodeParams serves every slot, so the
+// fleet must be homogeneous — which Cluster guarantees by building every
+// node from one base params.
 #pragma once
 
 #include <cstddef>
@@ -37,22 +36,22 @@
 #include "cluster/node.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
-#include "thermal/convection.hpp"
 
 namespace thermctl::cluster {
 
 class FleetSweep {
  public:
   /// Builds a sweep over `fleet`'s arrays for `nodes` (the Node views over
-  /// `fleet`, in slot order). `base` must be the NodeParams every node was
-  /// built from — the sweep caches the shared constants once.
-  FleetSweep(FleetState& fleet, const NodeParams& base, const std::vector<Node*>& nodes);
+  /// `fleet`, in slot order). `params` is the NodeParams every node was
+  /// built from; the sweep reads its constants from it, so it must outlive
+  /// the sweep.
+  FleetSweep(FleetState& fleet, const NodeParams& params, std::vector<Node*> nodes);
 
-  /// Node::step up to the RC solve, for slots [begin, end): utilization/die
+  /// The step up to the RC solve, for slots [begin, end): utilization/die
   /// latch, fan rotor step, CPU power into the batch, airflow → convection.
   void pre_range(std::size_t begin, std::size_t end, Seconds dt);
 
-  /// Node::step after the RC solve, for slots [begin, end): chip protocol,
+  /// The step after the RC solve, for slots [begin, end): chip protocol,
   /// meter, counters, PROCHOT/THERMTRIP ladder, jiffy accounting.
   void post_range(std::size_t begin, std::size_t end, Seconds dt);
 
@@ -65,22 +64,24 @@ class FleetSweep {
   /// Post-solve die temperatures, contiguous across slots.
   [[nodiscard]] const double* die_temp_row() const { return die_temp_; }
 
-  /// Node::wall_power() — memo-aware CPU power (recomputes and stores the
-  /// memo exactly like CpuDevice::power() when a controller invalidated it)
-  /// plus fan power, through the meter's display rounding.
+  /// Metered AC wall power of slot i (Node::wall_power()): memo-aware CPU
+  /// power (recomputes and stores the memo exactly like CpuDevice::power()
+  /// when a controller invalidated it) plus fan power, through the meter's
+  /// display rounding.
   [[nodiscard]] double wall_power_w(std::size_t i);
 
   /// cpufreq-visible (OS-selected) frequency for slot i, GHz.
   [[nodiscard]] double nominal_freq_ghz(std::size_t i) const {
-    return pstate_freq_[pstate_[i]];
+    return params_.cpu.pstates[pstate_[i]].frequency.value();
   }
 
  private:
   /// CpuDevice::power() on slot i: returns the memoized value, recomputing
-  /// and storing it with identical arithmetic when stale.
+  /// and storing it when stale.
   double cpu_power_w(std::size_t i);
 
   FleetState& fleet_;
+  const NodeParams& params_;
   std::vector<Node*> nodes_;
 
   // Batch rows (stride-1 across instances; see RcBatch layout).
@@ -92,7 +93,6 @@ class FleetSweep {
   double* fan_duty_ = nullptr;
   double* fan_rpm_ = nullptr;
   const std::uint8_t* fan_stuck_ = nullptr;
-  const double* sensor_last_ = nullptr;
   const std::uint32_t* pstate_ = nullptr;
   double* cpu_util_ = nullptr;
   double* cpu_die_temp_ = nullptr;
@@ -129,32 +129,6 @@ class FleetSweep {
   const double* bmc_duty_ = nullptr;
   const std::uint8_t* bmc_set_ = nullptr;
   PeriodicSchedule* sample_schedule_ = nullptr;
-
-  // Shared constants, cached from the (homogeneous) base NodeParams.
-  std::vector<double> pstate_freq_;  // GHz per P-state
-  std::vector<double> pstate_v2_;    // voltage^2 per P-state
-  double min_freq_ = 0.0;            // slowest P-state (PROCHOT rate)
-  double max_freq_ = 0.0;            // fastest P-state (MPERF base)
-  double k_dyn_ = 0.0;
-  double k_leak_ = 0.0;
-  double leak_alpha_ = 0.0;
-  double t_ref_ = 0.0;
-  double idle_activity_ = 0.0;
-  double fan_max_rpm_ = 0.0;
-  double fan_stall_pct_ = 0.0;
-  double fan_max_airflow_ = 0.0;
-  double fan_idle_w_ = 0.0;
-  double fan_max_w_ = 0.0;
-  double rotor_tau_ = 0.0;
-  thermal::ConvectionModel convection_;
-  double meter_base_w_ = 0.0;
-  double meter_eff_ = 0.0;
-  double meter_res_w_ = 0.0;
-  bool critical_enabled_ = false;
-  bool prochot_enabled_ = false;
-  double critical_c_ = 0.0;
-  double prochot_c_ = 0.0;
-  double prochot_release_c_ = 0.0;
 };
 
 }  // namespace thermctl::cluster

@@ -1,7 +1,6 @@
 #include "cluster/node.hpp"
 
-#include <cmath>
-
+#include "cluster/fleet_sweep.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
 
@@ -13,11 +12,16 @@ Node::Node(int id, const NodeParams& params)
 Node::Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned)
     : Node(id, params, *owned, 0) {
   owned_fleet_ = std::move(owned);
+  owned_sweep_ = std::make_unique<FleetSweep>(*owned_fleet_, params_, std::vector<Node*>{this});
+  sweep_ = owned_sweep_.get();
 }
+
+Node::~Node() = default;
 
 Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
     : id_(id),
       params_(params),
+      slot_(slot),
       cpu_(params.cpu),
       fan_(params.fan),
       package_(params.package, fleet.batch(), slot, fleet.airflow_slot(slot),
@@ -31,8 +35,6 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
       util_(fleet.util_slot(slot)),
       busy_jiffies_(fleet.busy_jiffies_slot(slot)),
       total_jiffies_(fleet.total_jiffies_slot(slot)),
-      jiffy_remainder_busy_(fleet.jiffy_rem_busy_slot(slot)),
-      jiffy_remainder_total_(fleet.jiffy_rem_total_slot(slot)),
       prochot_events_(fleet.prochot_events_slot(slot)),
       prochot_seconds_(fleet.prochot_seconds_slot(slot)),
       halted_(fleet.halted_slot(slot)),
@@ -90,68 +92,13 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
 
 void Node::set_utilization(Utilization u) { *util_ = halted() ? 0.0 : u.fraction(); }
 
-void Node::apply_protection(Celsius die) {
-  if (params_.protection.critical_enabled && die >= params_.protection.critical && !halted()) {
-    *halted_ = 1;
-    THERMCTL_LOG_WARN("node", "node %d THERMTRIP at %.1f C — halted", id_, die.value());
-  }
-  if (!params_.protection.prochot_enabled) {
-    return;
-  }
-  if (!cpu_.thermal_throttled() && die >= params_.protection.prochot) {
-    cpu_.set_thermal_throttle(true);
-    ++*prochot_events_;
-    THERMCTL_LOG_INFO("node", "node %d PROCHOT asserted at %.1f C", id_, die.value());
-  } else if (cpu_.thermal_throttled() &&
-             die <= params_.protection.prochot - params_.protection.prochot_hysteresis) {
-    cpu_.set_thermal_throttle(false);
-    THERMCTL_LOG_INFO("node", "node %d PROCHOT released at %.1f C", id_, die.value());
-  }
-}
-
 void Node::step(Seconds dt) {
-  THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
-  if (halted()) {
-    *util_ = 0.0;
-  }
-  cpu_.set_utilization(Utilization{*util_});
-  cpu_.set_die_temperature(package_.die_temperature());
-
-  // The fan follows the chip's PWM pin unless the BMC has overridden it
-  // (the out-of-band plane wins, as on real servers).
-  fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                        : chip_.output_duty());
-  fan_.step(dt);
-
-  package_.set_cpu_power(halted() ? Watts{2.0} : cpu_.power());  // halted: trickle
-  package_.set_airflow(fan_.airflow());
-
+  sweep_->pre_range(slot_, slot_ + 1, dt);
   package_.step(dt);
-
-  const Celsius die = package_.die_temperature();
-
-  // The chip continuously tracks its remote diode and tach inputs.
-  chip_.set_measured_temperature(die);
-  chip_.set_measured_rpm(fan_.rpm());
-
-  meter_.integrate_with(dt, dc_power());
-  cpu_.advance_counters(dt);
-
-  if (cpu_.thermal_throttled()) {
-    *prochot_seconds_ += dt.value();
-  }
-  apply_protection(die);
-
-  // /proc/stat accounting at USER_HZ with fractional carry.
-  *jiffy_remainder_busy_ += *util_ * dt.value() * 100.0;
-  *jiffy_remainder_total_ += dt.value() * 100.0;
-  const auto busy_whole = static_cast<std::uint64_t>(*jiffy_remainder_busy_);
-  const auto total_whole = static_cast<std::uint64_t>(*jiffy_remainder_total_);
-  *busy_jiffies_ += busy_whole;
-  *total_jiffies_ += total_whole;
-  *jiffy_remainder_busy_ -= static_cast<double>(busy_whole);
-  *jiffy_remainder_total_ -= static_cast<double>(total_whole);
+  sweep_->post_range(slot_, slot_ + 1, dt);
 }
+
+Watts Node::wall_power() const { return Watts{sweep_->wall_power_w(slot_)}; }
 
 void Node::settle() {
   std::size_t capped = 0;

@@ -27,8 +27,7 @@ DutyCycle Adt7467::reg_to_duty(std::uint8_t v) {
 }
 
 void Adt7467::set_measured_temperature(Celsius t) {
-  const double clamped = std::clamp(t.value(), -128.0, 127.0);
-  const auto reg = static_cast<std::int8_t>(std::lround(clamped));
+  const std::int8_t reg = adt7467_temp_register(t.value());
   if (reg == *temp_remote1_) {
     return;  // sub-degree drift doesn't move the register or the auto curve
   }
@@ -37,16 +36,7 @@ void Adt7467::set_measured_temperature(Celsius t) {
 }
 
 void Adt7467::set_measured_rpm(Rpm rpm) {
-  if (rpm.value() == *last_measured_rpm_) {
-    return;  // rotor at steady state: the latched tach period is current
-  }
-  *last_measured_rpm_ = rpm.value();
-  if (rpm.value() < 100.0) {
-    *tach1_ = 0xFFFF;  // stalled / too slow to measure
-  } else {
-    const double count = kTachClock / rpm.value();
-    *tach1_ = static_cast<std::uint16_t>(std::min(count, 65534.0));
-  }
+  adt7467_latch_tach(rpm.value(), *last_measured_rpm_, *tach1_);
 }
 
 bool Adt7467::manual_mode() const { return (pwm1_config_ >> 5) == kBehaviourManual; }

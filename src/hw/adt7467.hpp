@@ -25,6 +25,8 @@
 //   0x3E  COMPANY_ID     0x41 (Analog Devices)
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
@@ -128,5 +130,30 @@ class Adt7467 final : public I2cSlave {
   std::int8_t tmin_remote1_ = 38;   // paper platform: Tmin = 38 °C
   std::uint8_t trange_remote1_ = 44;  // paper platform: Tmax = 82 °C
 };
+
+// The chip's measurement-side formulas over plain values. Adt7467 and the
+// fleet sweep both call these, so the register object and the batched passes
+// share one arithmetic.
+
+/// TEMP_REMOTE1's encoding of a diode temperature: whole signed °C,
+/// saturating at the int8 range.
+[[nodiscard]] inline std::int8_t adt7467_temp_register(double celsius) {
+  return static_cast<std::int8_t>(std::lround(std::clamp(celsius, -128.0, 127.0)));
+}
+
+/// Latches a tach reading into `tach1` (kTachClock / RPM, 0xFFFF when the
+/// rotor is too slow to measure). `last_rpm` remembers the latched RPM, so a
+/// rotor at steady state skips the division.
+inline void adt7467_latch_tach(double rpm, double& last_rpm, std::uint16_t& tach1) {
+  if (rpm == last_rpm) {
+    return;
+  }
+  last_rpm = rpm;
+  if (rpm < 100.0) {
+    tach1 = 0xFFFF;
+  } else {
+    tach1 = static_cast<std::uint16_t>(std::min(Adt7467::kTachClock / rpm, 65534.0));
+  }
+}
 
 }  // namespace thermctl::hw

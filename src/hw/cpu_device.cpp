@@ -71,44 +71,4 @@ void CpuDevice::set_frequency(GigaHertz f) {
   set_pstate(best);
 }
 
-void CpuDevice::recompute_power() const {
-  const PState& ps = params_.pstates[*pstate_];
-  const double v2 = ps.voltage.value() * ps.voltage.value();
-  const double activity =
-      params_.idle_activity + (1.0 - params_.idle_activity) * *utilization_;
-  // PROCHOT clock-gates: dynamic power tracks the delivered (effective)
-  // frequency while voltage stays at the OS-selected P-state. Forced-idle
-  // injection scales both components by its per-C-state retention.
-  const double p_dyn = params_.k_dyn * v2 * effective_frequency().value() * activity *
-                       idle_injector_.dynamic_power_factor();
-  const double p_leak =
-      params_.k_leak * v2 *
-      (1.0 + params_.leakage_alpha * (*die_temperature_ - params_.t_ref.value())) *
-      idle_injector_.leakage_power_factor();
-  *power_cache_ = p_dyn + std::max(0.0, p_leak);
-  *power_valid_ = 1;
-  *power_gen_ = idle_injector_.generation();
-}
-
-void CpuDevice::advance_counters(Seconds dt) {
-  // Counters in units of 1e6 cycles / microjoules so 64 bits last for any
-  // plausible simulation length.
-  const double aperf_inc = work_capacity(dt) * 1e3;  // GHz-s -> Mcycles
-  const double mperf_inc = max_frequency().value() * dt.value() * 1e3;
-  const double energy_inc = power().value() * dt.value() * 1e6;  // J -> uJ
-
-  *aperf_frac_ += aperf_inc;
-  *mperf_frac_ += mperf_inc;
-  *energy_frac_ += energy_inc;
-  const auto a = static_cast<std::uint64_t>(*aperf_frac_);
-  const auto m = static_cast<std::uint64_t>(*mperf_frac_);
-  const auto e = static_cast<std::uint64_t>(*energy_frac_);
-  *aperf_ += a;
-  *mperf_ += m;
-  *energy_uj_ += e;
-  *aperf_frac_ -= static_cast<double>(a);
-  *mperf_frac_ -= static_cast<double>(m);
-  *energy_frac_ -= static_cast<double>(e);
-}
-
 }  // namespace thermctl::hw

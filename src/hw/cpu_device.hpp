@@ -17,6 +17,7 @@
 // number of transitions they inflict (a reliability proxy).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -57,6 +58,58 @@ struct CpuParams {
   /// technique).
   IdleInjectorParams idle{};
 };
+
+// The CPU formulas over plain values. CpuDevice and the fleet sweep both call
+// these, so the per-object API and the batched passes share one arithmetic.
+
+/// Delivered core clock (GHz) at P-state `pstate`: the OS-selected
+/// frequency, or the slowest P-state's while PROCHOT gates the clock.
+[[nodiscard]] inline double cpu_effective_ghz(const CpuParams& p, std::size_t pstate,
+                                              bool throttled) {
+  return throttled ? p.pstates.back().frequency.value() : p.pstates[pstate].frequency.value();
+}
+
+/// P_dyn + P_leak (the file comment's model) at one operating point. PROCHOT
+/// clock-gates: dynamic power tracks the effective frequency while voltage
+/// stays at the OS-selected P-state. Forced-idle injection scales both
+/// components by its per-C-state retention factors.
+[[nodiscard]] inline double cpu_power_w(const CpuParams& p, std::size_t pstate, double utilization,
+                                        double die_celsius, bool throttled,
+                                        double dynamic_factor, double leakage_factor) {
+  const PState& ps = p.pstates[pstate];
+  const double v2 = ps.voltage.value() * ps.voltage.value();
+  const double activity = p.idle_activity + (1.0 - p.idle_activity) * utilization;
+  const double p_dyn =
+      p.k_dyn * v2 * cpu_effective_ghz(p, pstate, throttled) * activity * dynamic_factor;
+  const double p_leak = p.k_leak * v2 *
+                        (1.0 + p.leakage_alpha * (die_celsius - p.t_ref.value())) *
+                        leakage_factor;
+  return p_dyn + std::max(0.0, p_leak);
+}
+
+/// Advances a counter block by `dt` seconds: APERF by the delivered cycles
+/// (effective GHz x utilization x injection throughput), MPERF by cycles at
+/// the fastest P-state, energy by `power_w`. Counts are in units of 1e6
+/// cycles / microjoules so 64 bits last for any plausible simulation length;
+/// each keeps its fractional remainder for the next step.
+inline void advance_cpu_counters(const CpuParams& p, double effective_ghz, double utilization,
+                                 double throughput_factor, double power_w, double dt,
+                                 std::uint64_t& aperf, std::uint64_t& mperf,
+                                 std::uint64_t& energy_uj, double& aperf_frac,
+                                 double& mperf_frac, double& energy_frac) {
+  aperf_frac += effective_ghz * utilization * dt * throughput_factor * 1e3;  // GHz-s -> Mcycles
+  mperf_frac += p.pstates.front().frequency.value() * dt * 1e3;
+  energy_frac += power_w * dt * 1e6;  // J -> uJ
+  const auto a = static_cast<std::uint64_t>(aperf_frac);
+  const auto m = static_cast<std::uint64_t>(mperf_frac);
+  const auto e = static_cast<std::uint64_t>(energy_frac);
+  aperf += a;
+  mperf += m;
+  energy_uj += e;
+  aperf_frac -= static_cast<double>(a);
+  mperf_frac -= static_cast<double>(m);
+  energy_frac -= static_cast<double>(e);
+}
 
 /// External storage the CPU's hot state can be rebound onto (bind_state) —
 /// one slot per field, pointing into FleetState's SoA arrays. The fleet
@@ -129,7 +182,7 @@ class CpuDevice {
 
   /// Frequency actually delivered to execution (accounts for PROCHOT).
   [[nodiscard]] GigaHertz effective_frequency() const {
-    return thermal_throttled() ? min_frequency() : frequency();
+    return GigaHertz{cpu_effective_ghz(params_, *pstate_, thermal_throttled())};
   }
 
   /// Instantaneous utilization imposed by the workload model.
@@ -186,8 +239,11 @@ class CpuDevice {
   // ---- hardware counters (the paper's future-work prediction inputs) ----
 
   /// Advances the counter block by `dt` at the current operating point.
-  /// Called once per physics step by the owning node.
-  void advance_counters(Seconds dt);
+  void advance_counters(Seconds dt) {
+    advance_cpu_counters(params_, effective_frequency().value(), *utilization_,
+                         idle_injector_.throughput_factor(), power().value(), dt.value(), *aperf_,
+                         *mperf_, *energy_uj_, *aperf_frac_, *mperf_frac_, *energy_frac_);
+  }
 
   /// APERF-style counter: cycles actually delivered (frequency, throttling,
   /// idle injection and utilization all fold in).
@@ -215,7 +271,13 @@ class CpuDevice {
   [[nodiscard]] const CpuParams& params() const { return params_; }
 
  private:
-  void recompute_power() const;
+  void recompute_power() const {
+    *power_cache_ = cpu_power_w(params_, *pstate_, *utilization_, *die_temperature_,
+                                thermal_throttled(), idle_injector_.dynamic_power_factor(),
+                                idle_injector_.leakage_power_factor());
+    *power_valid_ = 1;
+    *power_gen_ = idle_injector_.generation();
+  }
 
   CpuParams params_;
   IdleInjector idle_injector_;

@@ -1,7 +1,5 @@
 #include "hw/fan_device.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
@@ -13,7 +11,7 @@ FanDevice::FanDevice(FanParams params) : params_(params) {
 
 void FanDevice::recompute_alpha(Seconds dt) {
   THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
-  alpha_ = 1.0 - std::exp(-dt.value() / params_.rotor_tau.value());
+  alpha_ = fan_rotor_alpha(params_, dt.value());
   alpha_dt_ = dt.value();
 }
 

@@ -14,6 +14,7 @@
 //  * Failure injection: a stuck rotor for the emergency scenarios.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -34,6 +35,52 @@ struct FanParams {
   /// Rotor spin-up/down time constant.
   Seconds rotor_tau{0.8};
 };
+
+// The fan formulas over plain values. FanDevice and the fleet sweep both call
+// these, so the per-object API and the batched passes share one arithmetic.
+
+/// Steady-state RPM for a duty command (the rotor lag's fixed point):
+/// linear from the stall point up to max RPM at 100% duty. Real fans keep
+/// spinning slowly right at the stall threshold; the curve has a floor of
+/// 15% RPM there for continuity with datasheet minimum-speed specs.
+[[nodiscard]] inline double fan_target_rpm(const FanParams& p, double duty_pct) {
+  if (duty_pct < p.stall_duty.percent()) {
+    return 0.0;
+  }
+  const double span = 100.0 - p.stall_duty.percent();
+  const double frac = (duty_pct - p.stall_duty.percent()) / span;
+  constexpr double kMinFrac = 0.15;
+  return p.max_rpm.value() * (kMinFrac + (1.0 - kMinFrac) * frac);
+}
+
+/// Smoothing factor of the rotor's exact discrete first-order lag for a
+/// step of `dt` seconds.
+[[nodiscard]] inline double fan_rotor_alpha(const FanParams& p, double dt) {
+  return 1.0 - std::exp(-dt / p.rotor_tau.value());
+}
+
+/// One rotor step from `rpm` toward the target for `duty_pct` (zero while
+/// the rotor is stuck); a rotor coasting below 1 RPM stops.
+[[nodiscard]] inline double fan_rotor_step(const FanParams& p, double rpm, double duty_pct,
+                                           bool stuck, double alpha) {
+  const double target = stuck ? 0.0 : fan_target_rpm(p, duty_pct);
+  rpm += (target - rpm) * alpha;
+  if (rpm < 1.0 && target == 0.0) {
+    rpm = 0.0;
+  }
+  return rpm;
+}
+
+/// Airflow ∝ RPM (fan laws).
+[[nodiscard]] inline double fan_airflow_cfm(const FanParams& p, double rpm) {
+  return p.max_airflow.value() * rpm / p.max_rpm.value();
+}
+
+/// Electrical power ∝ RPM^3 (affinity laws) on top of the standby draw.
+[[nodiscard]] inline double fan_power_w(const FanParams& p, double rpm) {
+  const double frac = rpm / p.max_rpm.value();
+  return p.idle_power.value() + p.max_power.value() * frac * frac * frac;
+}
 
 class FanDevice {
  public:
@@ -65,37 +112,19 @@ class FanDevice {
   /// the exponential smoothing factor only depends on dt, which the engine
   /// holds constant, so it is cached rather than recomputed per step.
   void step(Seconds dt) {
-    const double target = (*stuck_ != 0) ? 0.0 : target_rpm(duty()).value();
     if (dt.value() != alpha_dt_) {
       recompute_alpha(dt);
     }
-    *rpm_ += (target - *rpm_) * alpha_;
-    if (*rpm_ < 1.0 && target == 0.0) {
-      *rpm_ = 0.0;
-    }
+    *rpm_ = fan_rotor_step(params_, *rpm_, duty().percent(), *stuck_ != 0, alpha_);
   }
 
   [[nodiscard]] Rpm rpm() const { return Rpm{*rpm_}; }
-  [[nodiscard]] Cfm airflow() const {
-    return Cfm{params_.max_airflow.value() * *rpm_ / params_.max_rpm.value()};
-  }
-  [[nodiscard]] Watts power() const {
-    const double frac = *rpm_ / params_.max_rpm.value();
-    return Watts{params_.idle_power.value() + params_.max_power.value() * frac * frac * frac};
-  }
+  [[nodiscard]] Cfm airflow() const { return Cfm{fan_airflow_cfm(params_, *rpm_)}; }
+  [[nodiscard]] Watts power() const { return Watts{fan_power_w(params_, *rpm_)}; }
 
-  /// Steady-state RPM for a duty command (the rotor lag's fixed point):
-  /// linear from the stall point up to max RPM at 100% duty. Real fans keep
-  /// spinning slowly right at the stall threshold; the curve has a floor of
-  /// 15% RPM there for continuity with datasheet minimum-speed specs.
+  /// Steady-state RPM for a duty command (see fan_target_rpm).
   [[nodiscard]] Rpm target_rpm(DutyCycle duty) const {
-    if (duty.percent() < params_.stall_duty.percent()) {
-      return Rpm{0.0};
-    }
-    const double span = 100.0 - params_.stall_duty.percent();
-    const double frac = (duty.percent() - params_.stall_duty.percent()) / span;
-    constexpr double kMinFrac = 0.15;
-    return Rpm{params_.max_rpm.value() * (kMinFrac + (1.0 - kMinFrac) * frac)};
+    return Rpm{fan_target_rpm(params_, duty.percent())};
   }
 
   /// Snaps the rotor to its steady state for the current duty (experiment

@@ -1,7 +1,5 @@
 #include "hw/power_meter.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
@@ -14,13 +12,6 @@ PowerMeter::PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params)
 }
 
 Watts PowerMeter::read() const { return read_with(dc_load_()); }
-
-Watts PowerMeter::read_with(Watts dc_component) const {
-  const double dc = params_.base_load.value() + dc_component.value();
-  const double ac = dc / params_.psu_efficiency;
-  const double r = params_.resolution_watts;
-  return Watts{std::round(ac / r) * r};
-}
 
 Watts PowerMeter::average_power() const {
   if (*elapsed_seconds_ <= 0.0) {

@@ -7,6 +7,7 @@
 // paper's instrument.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -24,6 +25,29 @@ struct PowerMeterParams {
   /// Meter display resolution.
   double resolution_watts = 0.1;
 };
+
+// The meter formulas over plain values. PowerMeter and the fleet sweep both
+// call these, so the per-object API and the batched passes share one
+// arithmetic.
+
+/// AC draw (W) for a DC component sum: the platform base load plus the
+/// components, through the PSU efficiency.
+[[nodiscard]] inline double meter_ac_w(const PowerMeterParams& p, double dc_component_w) {
+  return (p.base_load.value() + dc_component_w) / p.psu_efficiency;
+}
+
+/// The AC draw as the meter displays it (rounded to its resolution).
+[[nodiscard]] inline double meter_display_w(const PowerMeterParams& p, double dc_component_w) {
+  const double r = p.resolution_watts;
+  return std::round(meter_ac_w(p, dc_component_w) / r) * r;
+}
+
+/// Advances the energy integral by `dt` seconds at a DC component sum.
+inline void meter_integrate(const PowerMeterParams& p, double dc_component_w, double dt,
+                            double& energy_joules, double& elapsed_seconds) {
+  energy_joules += meter_ac_w(p, dc_component_w) * dt;
+  elapsed_seconds += dt;
+}
 
 class PowerMeter {
  public:
@@ -52,7 +76,9 @@ class PowerMeter {
   /// read() for a caller-supplied DC component sum: identical arithmetic,
   /// minus the indirect dc_load_ call. For callers that already hold the
   /// component sum (the node does, every physics step).
-  [[nodiscard]] Watts read_with(Watts dc_component) const;
+  [[nodiscard]] Watts read_with(Watts dc_component) const {
+    return Watts{meter_display_w(params_, dc_component.value())};
+  }
 
   /// Advances the internal energy integral by `dt` at the current load.
   void integrate(Seconds dt) { integrate_with(dt, dc_load_()); }
@@ -60,9 +86,7 @@ class PowerMeter {
   /// integrate() with the DC component sum supplied directly.
   void integrate_with(Seconds dt, Watts dc_component) {
     THERMCTL_ASSERT(dt.value() >= 0.0, "negative integration interval");
-    const double dc = params_.base_load.value() + dc_component.value();
-    *energy_joules_ += dc / params_.psu_efficiency * dt.value();
-    *elapsed_seconds_ += dt.value();
+    meter_integrate(params_, dc_component.value(), dt.value(), *energy_joules_, *elapsed_seconds_);
   }
 
   /// Energy accumulated so far (the meter's kWh counter, in joules).
