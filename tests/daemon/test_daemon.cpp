@@ -310,6 +310,95 @@ TEST(DaemonLifecycle, OverlongLineIsRejectedAndDropped) {
   runner.join();
 }
 
+TEST(DaemonLifecycle, ClientOverCapIsRefusedWithErr) {
+  // The server holds at most 256 clients. The next connection gets one ERR
+  // and is closed; a slot freed by a disconnect can be used again.
+  constexpr int kCap = 256;
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+  std::vector<int> held;
+  // Ends the daemon and releases every client on any exit from the test, so
+  // a failed assertion fails the test instead of aborting the binary.
+  struct Teardown {
+    Daemon& d;
+    std::thread& runner;
+    std::vector<int>& held;
+    ~Teardown() {
+      d.post_resume();
+      d.post_shutdown();
+      runner.join();
+      for (const int fd : held) {
+        ::close(fd);
+      }
+    }
+  } teardown{d, runner, held};
+  // Paused, the simulation cannot reach its horizon (and end the server)
+  // while the test takes its time.
+  d.post_pause();
+
+  for (int i = 0; i < kCap; ++i) {
+    const int fd = connect_client(dc.socket_path);
+    ASSERT_GE(fd, 0);
+    held.push_back(fd);
+    ASSERT_EQ(request(fd, "ping"), "OK pong\n") << "client " << i;  // admitted
+  }
+
+  // Reads one reply line, or up to EOF or a 2 s silence; `eof` tells those
+  // apart, so a server that never answers fails here instead of hanging.
+  auto read_line = [](int fd, bool& eof) {
+    const timeval timeout{2, 0};
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+    std::string line;
+    char c = 0;
+    for (;;) {
+      const ssize_t n = ::read(fd, &c, 1);
+      if (n <= 0) {
+        eof = n == 0;
+        return line;
+      }
+      line.push_back(c);
+      if (c == '\n') {
+        return line;
+      }
+    }
+  };
+
+  const int extra = connect_client(dc.socket_path);
+  ASSERT_GE(extra, 0);
+  bool eof = false;
+  EXPECT_EQ(read_line(extra, eof), "ERR too-many-clients\n");
+  EXPECT_EQ(read_line(extra, eof), "");
+  EXPECT_TRUE(eof) << "the client over the cap was not closed";
+  ::close(extra);
+
+  // Free one slot. The server sees the hangup on its next poll, so a new
+  // client may race it; retry until the slot is reused.
+  ::close(held.back());
+  held.pop_back();
+  bool reused = false;
+  for (int attempt = 0; attempt < 100 && !reused; ++attempt) {
+    const int fd = connect_client(dc.socket_path);
+    ASSERT_GE(fd, 0);
+    held.push_back(fd);
+    const std::string out = "ping\n";
+    ASSERT_EQ(::write(fd, out.data(), out.size()), static_cast<ssize_t>(out.size()));
+    const std::string reply = read_line(fd, eof);
+    reused = reply == "OK pong\n";
+    if (!reused) {
+      EXPECT_EQ(reply, "ERR too-many-clients\n");
+      ::close(fd);
+      held.pop_back();
+      std::this_thread::sleep_for(10ms);
+    }
+  }
+  EXPECT_TRUE(reused) << "a freed slot was never reused";
+}
+
 TEST(DaemonLifecycle, ShutdownMidDrainLeavesReadableSpill) {
   const std::string spill_path = "/tmp/thermctld_spill_" + std::to_string(::getpid()) +
                                  ".thermtrace";
