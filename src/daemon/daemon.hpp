@@ -21,14 +21,17 @@
 // L2 window) without ever dropping a round.
 //
 // Keepalive watchdog (the w83877f deadman pattern): the control round pets
-// a wall-clock deadline every period; a watchdog thread fails safe when
-// the pet stops — every fan forced to manual 100 % duty and every plane
-// power cap released — and the next live control round recovers by
-// re-applying the current policy. Failsafe actuation from the watchdog
-// thread is safe precisely because a missed pet means the engine thread is
-// wedged inside the daemon's serial phase, so nothing else touches the
-// rig. While paused the deadman is disarmed (an operator freeze is not a
-// stall), mirroring the chip's magic-close semantics.
+// a wall-clock deadline every period; a watchdog thread declares failsafe
+// when the pet stops. The engine thread, which owns the rig, then forces
+// the fail-safe state — every fan to manual 100 % duty, every plane power
+// cap released — as soon as it runs again: right after the command that
+// wedged it, or at the next control round. Simulated time is frozen while
+// the thread is wedged, so the forced state takes effect before any more
+// physics, and the control round after it recovers by re-applying the
+// current policy. The watchdog thread itself never touches the rig: a
+// missed pet does not prove the engine thread is parked (a slow step
+// misses it too). While paused the deadman is disarmed (an operator freeze
+// is not a stall), mirroring the chip's magic-close semantics.
 //
 // An empty socket_path runs the daemon dark (no server thread, no command
 // source): the differential oracle's kDaemonPassiveVsEngine pairing
@@ -149,6 +152,7 @@ class Daemon {
   void pet();
   void watchdog_main();
   void enter_failsafe();
+  void apply_failsafe();
   void server_main();
   void update_status(SimTime now);
   void request_engine_stop();
@@ -178,6 +182,8 @@ class Daemon {
   std::atomic<std::int64_t> last_pet_ns_{0};
   std::atomic<bool> watchdog_armed_{false};
   std::atomic<bool> failsafe_active_{false};
+  // Engine thread only: the fail-safe state of the current entry is forced.
+  bool failsafe_applied_ = false;
 
   std::atomic<int> current_pp_{0};
   std::atomic<double> current_budget_w_{0.0};
