@@ -17,7 +17,11 @@ namespace thermctl::obs {
 namespace {
 
 std::string export_to_string(const std::vector<TraceEvent>& events) {
-  const std::string path = testing::TempDir() + "chrome_export_test.json";
+  // ctest runs each test as its own process, in parallel: a per-test file
+  // name keeps concurrent tests from reading each other's export.
+  const std::string path = testing::TempDir() + "chrome_export_" +
+                           testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".json";
   write_chrome_trace(path, events);
   std::ifstream in{path};
   std::stringstream ss;
