@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,6 +279,146 @@ TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   // and the hot state is on the order of a hundred bytes, not kilobytes.
   EXPECT_LE(large_per_node, small_per_node * 1.1);
   EXPECT_LT(large_per_node, 512.0);
+}
+
+
+/// Standalone devices wired the way a Node wires its own: the chip probed
+/// (manual behaviour) and restored to automatic mode, the fan started at the
+/// chip's curve for the ambient die, the sensor on the package die with the
+/// node's RNG stream, the meter on the CPU + fan sum.
+struct LooseDevices {
+  LooseDevices(const NodeParams& params, int id)
+      : cpu(params.cpu),
+        fan(params.fan),
+        package(params.package),
+        sensor([this] { return package.die_temperature(); }, params.sensor,
+               Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
+        meter([this] { return Watts{cpu.power().value() + fan.power().value()}; },
+              params.meter) {
+    chip.write_register(hw::Adt7467::kRegPwm1Config,
+                        static_cast<std::uint8_t>(hw::Adt7467::kBehaviourManual << 5));
+    chip.write_register(hw::Adt7467::kRegPwm1Config,
+                        static_cast<std::uint8_t>(hw::Adt7467::kBehaviourAutoRemote1 << 5));
+    chip.set_measured_temperature(package.die_temperature());
+    fan.set_duty(chip.output_duty());
+    fan.settle();
+    package.set_airflow(fan.airflow());
+  }
+
+  /// Node::settle's stages at zero load, on the standalone package.
+  void settle() {
+    cpu.set_utilization(Utilization{0.0});
+    cpu.set_die_temperature(package.die_temperature());
+    package.set_cpu_power(cpu.power());
+    fan.settle();
+    package.set_airflow(fan.airflow());
+    package.settle();
+    cpu.set_die_temperature(package.die_temperature());
+    package.set_cpu_power(cpu.power());
+    package.settle();
+    chip.set_measured_temperature(package.die_temperature());
+    fan.set_duty(chip.output_duty());
+    fan.settle();
+    package.set_airflow(fan.airflow());
+    package.settle();
+    chip.set_measured_temperature(package.die_temperature());
+    chip.set_measured_rpm(fan.rpm());
+    sensor.sample();
+  }
+
+  hw::CpuDevice cpu;
+  hw::FanDevice fan;
+  hw::Adt7467 chip;
+  thermal::PackageModel package;
+  hw::ThermalSensor sensor;
+  hw::PowerMeter meter;
+};
+
+using DeviceState = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Every public getter of one machine's devices, doubles as their bits.
+DeviceState device_state(hw::CpuDevice& cpu, hw::FanDevice& fan, hw::Adt7467& chip,
+                         hw::ThermalSensor& sensor, hw::PowerMeter& meter) {
+  DeviceState s;
+  auto d = [&s](const char* name, double v) { s.emplace_back(name, bits(v)); };
+  auto u = [&s](const char* name, std::uint64_t v) { s.emplace_back(name, v); };
+  u("cpu.pstate_index", cpu.pstate_index());
+  d("cpu.frequency", cpu.frequency().value());
+  d("cpu.voltage", cpu.voltage().value());
+  u("cpu.thermal_throttled", cpu.thermal_throttled() ? 1 : 0);
+  d("cpu.effective_frequency", cpu.effective_frequency().value());
+  d("cpu.utilization", cpu.utilization().fraction());
+  d("cpu.power", cpu.power().value());
+  u("cpu.transition_count", cpu.transition_count());
+  d("cpu.transition_stall_total", cpu.transition_stall_total().value());
+  d("cpu.work_capacity", cpu.work_capacity(Seconds{0.05}));
+  d("cpu.delivered_frequency", cpu.delivered_frequency().value());
+  u("cpu.aperf", cpu.aperf());
+  u("cpu.mperf", cpu.mperf());
+  u("cpu.energy_uj", cpu.energy_uj());
+  const hw::IdleInjector& inj = cpu.idle_injector();
+  d("idle.fraction", inj.fraction());
+  u("idle.state", inj.state());
+  u("idle.active", inj.active() ? 1 : 0);
+  d("idle.throughput_factor", inj.throughput_factor());
+  d("idle.dynamic_power_factor", inj.dynamic_power_factor());
+  d("idle.leakage_power_factor", inj.leakage_power_factor());
+  u("idle.generation", inj.generation());
+  d("fan.duty", fan.duty().percent());
+  d("fan.rpm", fan.rpm().value());
+  d("fan.airflow", fan.airflow().value());
+  d("fan.power", fan.power().value());
+  d("fan.target_rpm", fan.target_rpm(fan.duty()).value());
+  u("fan.faulted", fan.faulted() ? 1 : 0);
+  d("chip.output_duty", chip.output_duty().percent());
+  u("chip.manual_mode", chip.manual_mode() ? 1 : 0);
+  for (std::uint8_t reg :
+       {hw::Adt7467::kRegTempRemote1, hw::Adt7467::kRegTach1Low, hw::Adt7467::kRegTach1High,
+        hw::Adt7467::kRegPwm1Duty, hw::Adt7467::kRegPwm1Max, hw::Adt7467::kRegPwm1Config,
+        hw::Adt7467::kRegPwm1Min, hw::Adt7467::kRegTminRemote1,
+        hw::Adt7467::kRegTrangeRemote1, hw::Adt7467::kRegDeviceId,
+        hw::Adt7467::kRegCompanyId}) {
+    u(("chip.reg" + std::to_string(reg)).c_str(), chip.read_register(reg).value_or(0x100));
+  }
+  d("sensor.last_reading", sensor.last_reading().value());
+  u("sensor.ready", sensor.ready() ? 1 : 0);
+  u("sensor.faulted", sensor.faulted() ? 1 : 0);
+  d("meter.read", meter.read().value());
+  d("meter.energy", meter.energy().value());
+  d("meter.average_power", meter.average_power().value());
+  return s;
+}
+
+DeviceState device_state(LooseDevices& m) {
+  return device_state(m.cpu, m.fan, m.chip, m.sensor, m.meter);
+}
+
+DeviceState device_state(Node& n) {
+  return device_state(n.cpu(), n.fan(), n.fan_chip(), n.sensor(), n.meter());
+}
+
+TEST(FleetState, DevicePowerOnStateMatchesStandalone) {
+  // A device reads the same whether it stands alone, sits in a standalone
+  // Node's one-slot fleet or in a slot of a cluster's shared fleet: at power
+  // on, and again after settling.
+  NodeParams params;
+  Cluster rack{3, params};
+  NodeParams own = params;
+  own.seed = params.seed + 7919;  // the seed Cluster gives node 1
+  Node node{1, own};
+  LooseDevices loose{own, 1};
+
+  const DeviceState at_power_on = device_state(loose);
+  EXPECT_EQ(device_state(node), at_power_on);
+  EXPECT_EQ(device_state(rack.node(1)), at_power_on);
+
+  loose.settle();
+  node.settle();
+  rack.settle_all();
+  const DeviceState settled = device_state(loose);
+  EXPECT_NE(settled, at_power_on);
+  EXPECT_EQ(device_state(node), settled);
+  EXPECT_EQ(device_state(rack.node(1)), settled);
 }
 
 }  // namespace
