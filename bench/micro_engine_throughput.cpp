@@ -331,6 +331,14 @@ bool runs_identical(const cluster::RunResult& a, const cluster::RunResult& b) {
   return true;
 }
 
+int print_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--horizon S] [--nodes N] [--hot-reps R] [--sweep-points K]"
+               " [--threads T] [--workers W] [--max-scale M] [--out PATH]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -344,23 +352,36 @@ int main(int argc, char** argv) {
   std::size_t max_scale = 100000;
   int hot_reps = 3;  // best-of; see measure_hot_path
   std::string out_path = "BENCH_engine.json";
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--horizon") == 0) {
-      horizon_s = std::atof(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      nodes = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--sweep-points") == 0) {
-      sweep_points = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      engine_workers = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--max-scale") == 0) {
-      max_scale = static_cast<std::size_t>(std::atol(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--hot-reps") == 0) {
-      hot_reps = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
+  // Every argument is a `--flag value` pair. An unknown flag or a flag
+  // without its value prints the usage line and exits before anything runs
+  // or is written.
+  for (int i = 1; i < argc; i += 2) {
+    const char* flag = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    bool known = true;
+    if (std::strcmp(flag, "--horizon") == 0) {
+      horizon_s = std::atof(value);
+    } else if (std::strcmp(flag, "--nodes") == 0) {
+      nodes = static_cast<std::size_t>(std::atoi(value));
+    } else if (std::strcmp(flag, "--sweep-points") == 0) {
+      sweep_points = static_cast<std::size_t>(std::atoi(value));
+    } else if (std::strcmp(flag, "--threads") == 0) {
+      threads = static_cast<std::size_t>(std::atoi(value));
+    } else if (std::strcmp(flag, "--workers") == 0) {
+      engine_workers = std::atoi(value);
+    } else if (std::strcmp(flag, "--max-scale") == 0) {
+      max_scale = static_cast<std::size_t>(std::atol(value));
+    } else if (std::strcmp(flag, "--hot-reps") == 0) {
+      hot_reps = std::atoi(value);
+    } else if (std::strcmp(flag, "--out") == 0) {
+      out_path = value;
+    } else {
+      known = false;
+    }
+    if (!known || i + 1 == argc) {
+      std::fprintf(stderr, known ? "%s: %s needs a value\n" : "%s: unknown option %s\n",
+                   argv[0], flag);
+      return print_usage(argv[0]);
     }
   }
 
