@@ -267,6 +267,9 @@ TEST(DaemonLifecycle, OverlongLineIsRejectedAndDropped) {
 
   core::ExperimentResult result;
   std::thread runner{[&] { result = d.run(); }};
+  // Paused, the simulation cannot reach its horizon (and end the server)
+  // while the test waits out a receive timeout.
+  d.post_pause();
 
   const int hog = connect_client(dc.socket_path);
   ASSERT_GE(hog, 0);
@@ -305,6 +308,7 @@ TEST(DaemonLifecycle, OverlongLineIsRejectedAndDropped) {
   const int fd = connect_client(dc.socket_path);
   ASSERT_GE(fd, 0);
   EXPECT_EQ(request(fd, "ping"), "OK pong\n");
+  d.post_resume();
   EXPECT_EQ(request(fd, "shutdown"), "OK shutting-down\n");
   ::close(fd);
   runner.join();
