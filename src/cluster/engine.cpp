@@ -172,12 +172,12 @@ void Engine::record_sample() {
   // by the sweep with Node::wall_power()'s exact memo semantics), so the
   // recording loop streams arrays instead of walking Node objects.
   FleetSweep& sweep = cluster_.sweep();
-  FleetState* fleet = cluster_.fleet();
-  const double* die = sweep.die_temp_row();
-  const double* sensor = fleet->sensor_last_data();
-  const double* duty = fleet->fan_duty_data();
-  const double* rpm = fleet->fan_rpm_data();
-  const double* util = fleet->util_data();
+  FleetState& fleet = *cluster_.fleet();
+  const double* die = fleet.batch().temperature_cell(0, fleet.wiring().die);
+  const double* sensor = fleet.sensor_last.data();
+  const double* duty = fleet.fan.duty_pct.data();
+  const double* rpm = fleet.fan.rpm.data();
+  const double* util = fleet.node.util.data();
   for (std::size_t i = 0; i < cluster_.size(); ++i) {
     recorder_.sample(now_.seconds(), i, die[i], sensor[i], duty[i], rpm[i],
                      sweep.nominal_freq_ghz(i), sweep.wall_power_w(i), util[i],
@@ -216,8 +216,8 @@ RunResult Engine::run() {
   Node* const* nodes = cluster_.raw_nodes().data();
   // Node::set_utilization is `util = halted ? 0 : u` over these fleet rows;
   // the load fill writes them directly instead of bouncing through Nodes.
-  double* util = cluster_.fleet()->util_data();
-  const std::uint8_t* halted = cluster_.fleet()->halted_data();
+  double* util = cluster_.fleet()->node.util.data();
+  const std::uint8_t* halted = cluster_.fleet()->node.halted.data();
   const std::size_t shards = resolved_workers();
   if (shards > 1 && pool_ == nullptr) {
     // Pool threads only run step_shard on disjoint node ranges; the barrier

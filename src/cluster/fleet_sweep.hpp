@@ -1,4 +1,4 @@
-// The per-node physics step, as contiguous passes over FleetState's arrays.
+// The per-node physics step, as contiguous passes over FleetState's columns.
 //
 // Every physics step of every node runs here: utilization latching, fan
 // rotor dynamics, the CPU power model, the fan chip's measurement protocol,
@@ -11,14 +11,15 @@
 //
 // Each pass is one loop over slots, and each slot's work only touches that
 // node's own state, so pass-at-a-time order over a range gives every node
-// the same bits as stepping it alone. The device formulas are not restated
-// here: the sweep calls the same inline functions over plain values that the
-// device classes call (hw::cpu_power_w, hw::fan_rotor_step,
-// hw::meter_integrate, hw::adt7467_latch_tach, ...), with the constants read
-// from the NodeParams the sweep was built from. A test reference
-// (tests/cluster/reference_node_step.hpp) replays the step as a sequence of
-// device-method calls and holds the sweep to it bitwise; the golden-digest
-// tests pin the whole rig's behaviour.
+// the same bits as stepping it alone. The sweep reads and writes the same
+// columns the device objects view (fleet_.cpu, fleet_.fan, ...), and it
+// does not restate the device formulas: it calls the same inline functions
+// over plain values that the device classes call (hw::cpu_power_w,
+// hw::fan_rotor_step, hw::meter_integrate, hw::adt7467_latch_tach, ...),
+// with the constants read from the NodeParams the sweep was built from. A
+// test reference (tests/cluster/reference_node_step.hpp) replays the step as
+// a sequence of device-method calls and holds the sweep to it bitwise; the
+// golden-digest tests pin the whole rig's behaviour.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
@@ -41,7 +42,7 @@ namespace thermctl::cluster {
 
 class FleetSweep {
  public:
-  /// Builds a sweep over `fleet`'s arrays for `nodes` (the Node views over
+  /// Builds a sweep over `fleet`'s columns for `nodes` (the Node views over
   /// `fleet`, in slot order). `params` is the NodeParams every node was
   /// built from; the sweep reads its constants from it, so it must outlive
   /// the sweep.
@@ -61,9 +62,6 @@ class FleetSweep {
 
   // ---- record-phase helpers (Engine::record_sample's fast path) ----
 
-  /// Post-solve die temperatures, contiguous across slots.
-  [[nodiscard]] const double* die_temp_row() const { return die_temp_; }
-
   /// Metered AC wall power of slot i (Node::wall_power()): memo-aware CPU
   /// power (recomputes and stores the memo exactly like CpuDevice::power()
   /// when a controller invalidated it) plus fan power, through the meter's
@@ -72,7 +70,7 @@ class FleetSweep {
 
   /// cpufreq-visible (OS-selected) frequency for slot i, GHz.
   [[nodiscard]] double nominal_freq_ghz(std::size_t i) const {
-    return params_.cpu.pstates[pstate_[i]].frequency.value();
+    return params_.cpu.pstates[fleet_.cpu.pstate[i]].frequency.value();
   }
 
  private:
@@ -83,52 +81,6 @@ class FleetSweep {
   FleetState& fleet_;
   const NodeParams& params_;
   std::vector<Node*> nodes_;
-
-  // Batch rows (stride-1 across instances; see RcBatch layout).
-  const double* die_temp_ = nullptr;
-  double* die_power_ = nullptr;
-  thermal::EdgeId hs_amb_{};
-
-  // Raw SoA arrays (fixed for the fleet's lifetime).
-  double* fan_duty_ = nullptr;
-  double* fan_rpm_ = nullptr;
-  const std::uint8_t* fan_stuck_ = nullptr;
-  const std::uint32_t* pstate_ = nullptr;
-  double* cpu_util_ = nullptr;
-  double* cpu_die_temp_ = nullptr;
-  double* power_cache_ = nullptr;
-  std::uint8_t* power_valid_ = nullptr;
-  std::uint64_t* power_gen_ = nullptr;
-  std::uint8_t* throttled_ = nullptr;
-  std::uint64_t* aperf_ = nullptr;
-  std::uint64_t* mperf_ = nullptr;
-  std::uint64_t* energy_uj_ = nullptr;
-  double* aperf_frac_ = nullptr;
-  double* mperf_frac_ = nullptr;
-  double* energy_frac_ = nullptr;
-  const double* inj_dyn_ = nullptr;
-  const double* inj_leak_ = nullptr;
-  const double* inj_thr_ = nullptr;
-  const std::uint64_t* inj_gen_ = nullptr;
-  std::int8_t* chip_temp_reg_ = nullptr;
-  std::uint16_t* chip_tach_ = nullptr;
-  double* chip_last_rpm_ = nullptr;
-  const double* chip_out_duty_ = nullptr;
-  double* meter_energy_ = nullptr;
-  double* meter_elapsed_ = nullptr;
-  double* airflow_ = nullptr;
-  std::uint8_t* airflow_set_ = nullptr;
-  double* util_ = nullptr;
-  std::uint64_t* busy_jiffies_ = nullptr;
-  std::uint64_t* total_jiffies_ = nullptr;
-  double* jiffy_rem_busy_ = nullptr;
-  double* jiffy_rem_total_ = nullptr;
-  std::int32_t* prochot_events_ = nullptr;
-  double* prochot_seconds_ = nullptr;
-  std::uint8_t* halted_ = nullptr;
-  const double* bmc_duty_ = nullptr;
-  const std::uint8_t* bmc_set_ = nullptr;
-  PeriodicSchedule* sample_schedule_ = nullptr;
 };
 
 }  // namespace thermctl::cluster

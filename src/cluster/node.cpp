@@ -19,37 +19,22 @@ Node::Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned)
 Node::~Node() = default;
 
 Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
-    : id_(id),
+    : fleet_(fleet),
+      id_(id),
       params_(params),
       slot_(slot),
-      cpu_(params.cpu),
-      fan_(params.fan),
-      package_(params.package, fleet.batch(), slot, fleet.airflow_slot(slot),
-               fleet.airflow_set_slot(slot)),
+      cpu_(params.cpu, fleet.cpu, fleet.idle, slot),
+      fan_(params.fan, fleet.fan, slot),
+      chip_(fleet.chip, slot),
+      package_(params.package, fleet.batch(), fleet.airflow, slot),
       sensor_([this] { return package_.die_temperature(); }, params.sensor,
-              Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
+              Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1},
+              fleet.sensor_last, slot),
       meter_([this] { return Watts{cpu_.power().value() + fan_.power().value()}; },
-             params.meter),
-      driver_(i2c_),
-      sample_schedule_(fleet.sample_schedule_slot(slot)),
-      util_(fleet.util_slot(slot)),
-      busy_jiffies_(fleet.busy_jiffies_slot(slot)),
-      total_jiffies_(fleet.total_jiffies_slot(slot)),
-      prochot_events_(fleet.prochot_events_slot(slot)),
-      prochot_seconds_(fleet.prochot_seconds_slot(slot)),
-      halted_(fleet.halted_slot(slot)),
-      bmc_override_duty_(fleet.bmc_override_duty_slot(slot)),
-      bmc_override_set_(fleet.bmc_override_set_slot(slot)) {
-  *sample_schedule_ =
+             params.meter, fleet.meter, slot),
+      driver_(i2c_) {
+  sample_schedule() =
       PeriodicSchedule{static_cast<std::int64_t>(params.sample_period.value() * 1e6)};
-  // Hot device state moves into the fleet's SoA arrays before first use, so
-  // the batched sweep and the per-object API share one storage.
-  fan_.bind_state(fleet.fan_duty_slot(slot), fleet.fan_rpm_slot(slot),
-                  fleet.fan_stuck_slot(slot));
-  sensor_.bind_state(fleet.sensor_last_slot(slot));
-  cpu_.bind_state(fleet.cpu_slots(slot));
-  chip_.bind_state(fleet.chip_slots(slot));
-  meter_.bind_state(fleet.meter_energy_slot(slot), fleet.meter_elapsed_slot(slot));
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
 
   // In-band plane: cpufreq + hwmon sysfs trees.
@@ -74,11 +59,12 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
   bmc_.add_sensor("Fan1", "RPM", [this] { return fan_.rpm().value(); });
   bmc_.add_sensor("System Power", "Watts", [this] { return meter_.read().value(); });
   bmc_.set_fan_override_handler([this](std::optional<DutyCycle> duty) {
+    NodeColumns& node = fleet_.node;
     if (duty.has_value()) {
-      *bmc_override_duty_ = duty->percent();
-      *bmc_override_set_ = 1;
+      node.bmc_override_duty[slot_] = duty->percent();
+      node.bmc_override_set[slot_] = 1;
     } else {
-      *bmc_override_set_ = 0;
+      node.bmc_override_set[slot_] = 0;
     }
   });
 
@@ -90,7 +76,9 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
   package_.set_airflow(fan_.airflow());
 }
 
-void Node::set_utilization(Utilization u) { *util_ = halted() ? 0.0 : u.fraction(); }
+void Node::set_utilization(Utilization u) {
+  fleet_.node.util[slot_] = halted() ? 0.0 : u.fraction();
+}
 
 void Node::step(Seconds dt) {
   sweep_->pre_range(slot_, slot_ + 1, dt);
@@ -117,7 +105,7 @@ void Node::settle() {
 void Node::settle_stage(int stage) {
   switch (stage) {
     case 0:
-      cpu_.set_utilization(Utilization{*util_});
+      cpu_.set_utilization(utilization());
       cpu_.set_die_temperature(package_.die_temperature());
       package_.set_cpu_power(cpu_.power());
       fan_.settle();
@@ -131,8 +119,9 @@ void Node::settle_stage(int stage) {
       break;
     case 2:
       chip_.set_measured_temperature(package_.die_temperature());
-      fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                            : chip_.output_duty());
+      fan_.set_duty(fleet_.node.bmc_override_set[slot_] != 0
+                        ? DutyCycle{fleet_.node.bmc_override_duty[slot_]}
+                        : chip_.output_duty());
       fan_.settle();
       package_.set_airflow(fan_.airflow());
       break;

@@ -19,11 +19,15 @@
 //
 // A Node's hot state lives in a FleetState slot (fleet_state.hpp): a
 // cluster's nodes share one fleet, and a standalone Node owns a one-slot
-// fleet of its own. The Node is a view over that slot, and Node::step is the
-// fleet's per-node step (FleetSweep's passes around the batched RC solve)
-// over that one slot: a standalone Node owns a one-node FleetSweep, a
-// cluster node uses its cluster's. The device objects and the sweep call the
-// same device formulas, so the object API and the step agree bit for bit.
+// fleet of its own. The Node is a view over that slot: its devices and
+// package are views over the slot of their columns, and its own scalars
+// (utilization, jiffies, protection, BMC override, sampling schedule) are
+// read from the fleet's NodeColumns. Node::step is the fleet's per-node step
+// (FleetSweep's passes around the batched RC solve) over that one slot: a
+// standalone Node owns a one-node FleetSweep, a cluster node uses its
+// cluster's. The device objects and the sweep read the same columns and call
+// the same device formulas, so the object API and the step agree bit for
+// bit.
 //
 // Settling (experiment priming) alternates device stages with equilibrium
 // solves of the node's package column. Cluster::settle_all runs each stage
@@ -95,7 +99,7 @@ class Node {
 
   /// Sets the utilization the workload imposes for the next step.
   void set_utilization(Utilization u);
-  [[nodiscard]] Utilization utilization() const { return Utilization{*util_}; }
+  [[nodiscard]] Utilization utilization() const { return Utilization{fleet_.node.util[slot_]}; }
 
   /// Advances devices, thermal model, protection and meters by `dt`: the
   /// fleet sweep's pre pass, RC solve and post pass over this node's slot
@@ -104,8 +108,10 @@ class Node {
 
   /// Takes a thermal-sensor reading (called on the 4 Hz schedule).
   Celsius sample_sensor() { return sensor_.sample(); }
-  [[nodiscard]] const PeriodicSchedule& sample_schedule() const { return *sample_schedule_; }
-  PeriodicSchedule& sample_schedule() { return *sample_schedule_; }
+  [[nodiscard]] const PeriodicSchedule& sample_schedule() const {
+    return fleet_.node.sample_schedule[slot_];
+  }
+  PeriodicSchedule& sample_schedule() { return fleet_.node.sample_schedule[slot_]; }
 
   // ---- state the experiments observe ----
   [[nodiscard]] Celsius die_temperature() const { return package_.die_temperature(); }
@@ -116,15 +122,17 @@ class Node {
 
   /// /proc/stat-style cumulative counters at USER_HZ (100 jiffies/second);
   /// utilization governors diff these, exactly like the real daemon.
-  [[nodiscard]] std::uint64_t busy_jiffies() const { return *busy_jiffies_; }
-  [[nodiscard]] std::uint64_t total_jiffies() const { return *total_jiffies_; }
+  [[nodiscard]] std::uint64_t busy_jiffies() const { return fleet_.node.busy_jiffies[slot_]; }
+  [[nodiscard]] std::uint64_t total_jiffies() const { return fleet_.node.total_jiffies[slot_]; }
 
   [[nodiscard]] bool prochot_active() const { return cpu_.thermal_throttled(); }
-  [[nodiscard]] int prochot_events() const { return *prochot_events_; }
-  [[nodiscard]] Seconds prochot_time() const { return Seconds{*prochot_seconds_}; }
-  [[nodiscard]] bool halted() const { return *halted_ != 0; }
+  [[nodiscard]] int prochot_events() const { return fleet_.node.prochot_events[slot_]; }
+  [[nodiscard]] Seconds prochot_time() const {
+    return Seconds{fleet_.node.prochot_seconds[slot_]};
+  }
+  [[nodiscard]] bool halted() const { return fleet_.node.halted[slot_] != 0; }
   /// Clears a THERMTRIP halt (operator power-cycles the node).
-  void clear_halt() { *halted_ = 0; }
+  void clear_halt() { fleet_.node.halted[slot_] = 0; }
 
   // ---- subsystem access for wiring controllers ----
   [[nodiscard]] hw::CpuDevice& cpu() { return cpu_; }
@@ -166,12 +174,13 @@ class Node {
   static constexpr int kSettleStages = 4;
 
   Node(int id, const NodeParams& params, std::unique_ptr<FleetState> owned);
-  /// Cluster node: a view over `fleet`'s SoA arrays at `slot`. The fleet
+  /// Cluster node: a view over `fleet`'s columns at `slot`. The fleet
   /// must have been built from `params.package` and outlive the node; Cluster
   /// sets sweep_ once its sweep exists.
   Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot);
 
   std::unique_ptr<FleetState> owned_fleet_;  // set only for a standalone node
+  FleetState& fleet_;
   int id_;
   NodeParams params_;
   std::size_t slot_;
@@ -192,19 +201,6 @@ class Node {
   std::unique_ptr<sysfs::RaplDomain> rapl_;
   std::unique_ptr<sysfs::ProcStat> proc_stat_;
   sysfs::BmcEndpoint bmc_;
-
-  // OS/protection scalars live in the FleetState SoA arrays, so the sweep
-  // can walk them contiguously; the accessors above read through these
-  // pointers.
-  PeriodicSchedule* sample_schedule_;
-  double* util_;  // Utilization fraction
-  std::uint64_t* busy_jiffies_;
-  std::uint64_t* total_jiffies_;
-  std::int32_t* prochot_events_;
-  double* prochot_seconds_;
-  std::uint8_t* halted_;
-  double* bmc_override_duty_;  // percent; valid when the set flag != 0
-  std::uint8_t* bmc_override_set_;
 };
 
 }  // namespace thermctl::cluster

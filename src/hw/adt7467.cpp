@@ -2,20 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "common/assert.hpp"
 
 namespace thermctl::hw {
 
-Adt7467::Adt7467() { refresh_output(); }
+Adt7467::Adt7467() : Adt7467(std::make_unique<ChipColumns>(1)) {}
 
-void Adt7467::bind_state(const ChipStateSlots& slots) {
-  *slots.temp_remote1 = *temp_remote1_;
-  *slots.tach1 = *tach1_;
-  *slots.last_measured_rpm = *last_measured_rpm_;
-  *slots.output_duty_pct = *output_duty_pct_;
-  temp_remote1_ = slots.temp_remote1;
-  tach1_ = slots.tach1;
-  last_measured_rpm_ = slots.last_measured_rpm;
-  output_duty_pct_ = slots.output_duty_pct;
+Adt7467::Adt7467(std::unique_ptr<ChipColumns> owned) : Adt7467(*owned, 0) {
+  owned_ = std::move(owned);
+}
+
+Adt7467::Adt7467(ChipColumns& columns, std::size_t slot) : cols_(columns), slot_(slot) {
+  THERMCTL_ASSERT(slot < columns.tach1.size(), "chip column slot out of range");
+  refresh_output();
 }
 
 std::uint8_t Adt7467::duty_to_reg(DutyCycle d) {
@@ -28,15 +29,15 @@ DutyCycle Adt7467::reg_to_duty(std::uint8_t v) {
 
 void Adt7467::set_measured_temperature(Celsius t) {
   const std::int8_t reg = adt7467_temp_register(t.value());
-  if (reg == *temp_remote1_) {
+  if (reg == cols_.temp_remote1[slot_]) {
     return;  // sub-degree drift doesn't move the register or the auto curve
   }
-  *temp_remote1_ = reg;
+  cols_.temp_remote1[slot_] = reg;
   refresh_output();
 }
 
 void Adt7467::set_measured_rpm(Rpm rpm) {
-  adt7467_latch_tach(rpm.value(), *last_measured_rpm_, *tach1_);
+  adt7467_latch_tach(rpm.value(), cols_.last_measured_rpm[slot_], cols_.tach1[slot_]);
 }
 
 bool Adt7467::manual_mode() const { return (pwm1_config_ >> 5) == kBehaviourManual; }
@@ -54,8 +55,8 @@ DutyCycle Adt7467::auto_curve(Celsius t) const {
 
 void Adt7467::refresh_output() {
   if (!manual_mode()) {
-    pwm1_duty_ = std::min(
-        duty_to_reg(auto_curve(Celsius{static_cast<double>(*temp_remote1_)})), pwm1_max_);
+    const Celsius measured{static_cast<double>(cols_.temp_remote1[slot_])};
+    pwm1_duty_ = std::min(duty_to_reg(auto_curve(measured)), pwm1_max_);
   }
   refresh_duty_mirror();
 }
@@ -65,11 +66,11 @@ DutyCycle Adt7467::output_duty() const { return reg_to_duty(pwm1_duty_); }
 std::optional<std::uint8_t> Adt7467::read_register(std::uint8_t reg) {
   switch (reg) {
     case kRegTempRemote1:
-      return static_cast<std::uint8_t>(*temp_remote1_);
+      return static_cast<std::uint8_t>(cols_.temp_remote1[slot_]);
     case kRegTach1Low:
-      return static_cast<std::uint8_t>(*tach1_ & 0xFF);
+      return static_cast<std::uint8_t>(cols_.tach1[slot_] & 0xFF);
     case kRegTach1High:
-      return static_cast<std::uint8_t>(*tach1_ >> 8);
+      return static_cast<std::uint8_t>(cols_.tach1[slot_] >> 8);
     case kRegPwm1Duty:
       return pwm1_duty_;
     case kRegPwm1Max:

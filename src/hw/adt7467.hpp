@@ -27,25 +27,35 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/units.hpp"
 #include "hw/i2c.hpp"
 
 namespace thermctl::hw {
 
-/// External storage the chip's latched measurements and output mirror can be
-/// rebound onto (bind_state) — slots into FleetState's SoA arrays so the
-/// fleet sweep can batch the measurement-side protocol without touching the
-/// register objects.
-struct ChipStateSlots {
-  std::int8_t* temp_remote1 = nullptr;
-  std::uint16_t* tach1 = nullptr;
-  double* last_measured_rpm = nullptr;
+/// The chip's hot state, one slot per chip: the latched measurement
+/// registers and the PWM output mirror, which the fleet sweep's measurement
+/// protocol reads and writes every step. A fleet holds one column per field;
+/// a standalone Adt7467 owns a one-slot set. The configuration registers
+/// stay in the chip object.
+struct ChipColumns {
+  /// `n` slots, each at the power-on state: TEMP_REMOTE1 at 25 °C, the tach
+  /// reading "stalled", no RPM latched yet, the PWM pin at 0%.
+  explicit ChipColumns(std::size_t n)
+      : temp_remote1(n, 25), tach1(n, 0xFFFF), last_measured_rpm(n, -1.0),
+        output_duty_pct(n, 0.0) {}
+
+  std::vector<std::int8_t> temp_remote1;   // latched measurement, °C
+  std::vector<std::uint16_t> tach1;        // latched tach period
+  std::vector<double> last_measured_rpm;   // skip tach recompute when unchanged
   /// Mirror of reg_to_duty(PWM1_DUTY).percent(), refreshed whenever the duty
   /// register changes (auto-curve refresh or manual write).
-  double* output_duty_pct = nullptr;
+  std::vector<double> output_duty_pct;
 };
 
 class Adt7467 final : public I2cSlave {
@@ -72,16 +82,14 @@ class Adt7467 final : public I2cSlave {
   /// Datasheet tach convention: counter = 5.4e6 / RPM; 0xFFFF = stalled.
   static constexpr double kTachClock = 5.4e6;
 
+  /// Standalone chip over a one-slot ChipColumns of its own.
   Adt7467();
+  /// View over slot `slot` of `columns`.
+  Adt7467(ChipColumns& columns, std::size_t slot);
 
-  // Latched state may be rebound into fleet-owned SoA arrays (bind_state),
-  // so the chip must not be duplicated with pointers into the old storage.
+  // A view holds a reference into its columns, so it must not be duplicated.
   Adt7467(const Adt7467&) = delete;
   Adt7467& operator=(const Adt7467&) = delete;
-
-  /// Rebinds the latched measurements and the output-duty mirror onto
-  /// external storage (FleetState SoA slots). Current values carry over.
-  void bind_state(const ChipStateSlots& slots);
 
   // --- physical-side interface (wired by the node model, not by drivers) ---
 
@@ -110,19 +118,13 @@ class Adt7467 final : public I2cSlave {
   [[nodiscard]] static DutyCycle reg_to_duty(std::uint8_t v);
 
  private:
+  explicit Adt7467(std::unique_ptr<ChipColumns> owned);
   void refresh_output();
-  void refresh_duty_mirror() { *output_duty_pct_ = reg_to_duty(pwm1_duty_).percent(); }
+  void refresh_duty_mirror() { cols_.output_duty_pct[slot_] = reg_to_duty(pwm1_duty_).percent(); }
 
-  // Latched measurements default to inline storage; bind_state() repoints
-  // them into FleetState SoA slots without changing behaviour.
-  std::int8_t temp_remote1_storage_ = 25;    // latched measurement, °C
-  std::uint16_t tach1_storage_ = 0xFFFF;     // latched tach period
-  double last_measured_rpm_storage_ = -1.0;  // skip tach recompute when unchanged
-  double output_duty_pct_storage_ = 0.0;     // mirror of the PWM output pin
-  std::int8_t* temp_remote1_ = &temp_remote1_storage_;
-  std::uint16_t* tach1_ = &tach1_storage_;
-  double* last_measured_rpm_ = &last_measured_rpm_storage_;
-  double* output_duty_pct_ = &output_duty_pct_storage_;
+  std::unique_ptr<ChipColumns> owned_;  // set only for a standalone chip
+  ChipColumns& cols_;
+  std::size_t slot_;
   std::uint8_t pwm1_duty_ = 0;      // current duty register
   std::uint8_t pwm1_max_ = 0xFF;    // automatic-curve ceiling
   std::uint8_t pwm1_config_ = static_cast<std::uint8_t>(kBehaviourAutoRemote1 << 5);

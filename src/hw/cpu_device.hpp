@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -111,55 +112,54 @@ inline void advance_cpu_counters(const CpuParams& p, double effective_ghz, doubl
   energy_frac -= static_cast<double>(e);
 }
 
-/// External storage the CPU's hot state can be rebound onto (bind_state) —
-/// one slot per field, pointing into FleetState's SoA arrays. The fleet
-/// sweep reads/writes these arrays directly; the device keeps behaving
-/// identically through its own API because both share the same storage.
-struct CpuStateSlots {
-  std::uint32_t* pstate = nullptr;
-  double* utilization = nullptr;      // fraction
-  double* die_temperature = nullptr;  // °C
-  double* power_cache = nullptr;
-  std::uint8_t* power_valid = nullptr;
-  std::uint64_t* power_gen = nullptr;
-  std::uint8_t* throttled = nullptr;
-  std::uint64_t* transitions = nullptr;
-  std::uint64_t* aperf = nullptr;
-  std::uint64_t* mperf = nullptr;
-  std::uint64_t* energy_uj = nullptr;
-  double* aperf_frac = nullptr;
-  double* mperf_frac = nullptr;
-  double* energy_frac = nullptr;
-  // Idle-injector mirrors (forwarded to IdleInjector::bind_state).
-  double* inj_dynamic_factor = nullptr;
-  double* inj_leakage_factor = nullptr;
-  double* inj_throughput_factor = nullptr;
-  std::uint64_t* inj_generation = nullptr;
+/// The CPU's hot state, one slot per CPU: the operating point, the power
+/// memo and the counter block (its injector's state is in IdleColumns). A
+/// fleet holds one column per field and the fleet sweep reads them
+/// directly; a standalone CpuDevice owns a one-slot set.
+struct CpuColumns {
+  /// `n` slots, each at the power-on state: fastest P-state, idle, die at
+  /// 40 °C, no memoized power, counters at zero.
+  explicit CpuColumns(std::size_t n)
+      : pstate(n, 0), utilization(n, 0.0), die_temperature(n, 40.0), power_cache(n, 0.0),
+        power_valid(n, 0), power_gen(n, 0), throttled(n, 0), transitions(n, 0), aperf(n, 0),
+        mperf(n, 0), energy_uj(n, 0), aperf_frac(n, 0.0), mperf_frac(n, 0.0),
+        energy_frac(n, 0.0) {}
+
+  std::vector<std::uint32_t> pstate;
+  std::vector<double> utilization;      // fraction
+  std::vector<double> die_temperature;  // °C
+  std::vector<double> power_cache;      // W, valid while power_valid != 0
+  std::vector<std::uint8_t> power_valid;
+  std::vector<std::uint64_t> power_gen;  // injector generation of power_cache
+  std::vector<std::uint8_t> throttled;   // PROCHOT
+  std::vector<std::uint64_t> transitions;
+  std::vector<std::uint64_t> aperf;
+  std::vector<std::uint64_t> mperf;
+  std::vector<std::uint64_t> energy_uj;
+  std::vector<double> aperf_frac;
+  std::vector<double> mperf_frac;
+  std::vector<double> energy_frac;
 };
 
 class CpuDevice {
  public:
+  /// Standalone CPU over one-slot CPU and injector columns of its own.
   explicit CpuDevice(CpuParams params = {});
+  /// View over slot `slot` of `columns`, with its injector over the same
+  /// slot of `idle`.
+  CpuDevice(CpuParams params, CpuColumns& columns, IdleColumns& idle, std::size_t slot);
 
-  // Hot state may be rebound into fleet-owned SoA arrays (bind_state), so
-  // the device must not be duplicated with pointers into the old storage.
+  // A view holds references into its columns, so it must not be duplicated.
   CpuDevice(const CpuDevice&) = delete;
   CpuDevice& operator=(const CpuDevice&) = delete;
-
-  /// Rebinds every hot field (operating point, power memo, counter block,
-  /// injector mirrors) onto external storage — the FleetState SoA arrays.
-  /// Current values carry over; the device keeps behaving identically, it
-  /// just keeps its hot state in the fleet arrays where the batched sweep
-  /// can walk it contiguously.
-  void bind_state(const CpuStateSlots& slots);
 
   [[nodiscard]] std::span<const PState> pstates() const { return params_.pstates; }
   [[nodiscard]] std::size_t pstate_count() const { return params_.pstates.size(); }
 
   /// Currently active P-state index (0 = fastest).
-  [[nodiscard]] std::size_t pstate_index() const { return *pstate_; }
-  [[nodiscard]] GigaHertz frequency() const { return params_.pstates[*pstate_].frequency; }
-  [[nodiscard]] Volts voltage() const { return params_.pstates[*pstate_].voltage; }
+  [[nodiscard]] std::size_t pstate_index() const { return cols_.pstate[slot_]; }
+  [[nodiscard]] GigaHertz frequency() const { return params_.pstates[pstate_index()].frequency; }
+  [[nodiscard]] Volts voltage() const { return params_.pstates[pstate_index()].voltage; }
   [[nodiscard]] GigaHertz max_frequency() const { return params_.pstates.front().frequency; }
   [[nodiscard]] GigaHertz min_frequency() const { return params_.pstates.back().frequency; }
 
@@ -175,27 +175,29 @@ class CpuDevice {
   /// reports the requested frequency, but work completes at the throttled
   /// rate. Not counted as a transition.
   void set_thermal_throttle(bool asserted) {
-    *throttled_ = asserted ? 1 : 0;
-    *power_valid_ = 0;
+    cols_.throttled[slot_] = asserted ? 1 : 0;
+    cols_.power_valid[slot_] = 0;
   }
-  [[nodiscard]] bool thermal_throttled() const { return *throttled_ != 0; }
+  [[nodiscard]] bool thermal_throttled() const { return cols_.throttled[slot_] != 0; }
 
   /// Frequency actually delivered to execution (accounts for PROCHOT).
   [[nodiscard]] GigaHertz effective_frequency() const {
-    return GigaHertz{cpu_effective_ghz(params_, *pstate_, thermal_throttled())};
+    return GigaHertz{cpu_effective_ghz(params_, cols_.pstate[slot_], thermal_throttled())};
   }
 
   /// Instantaneous utilization imposed by the workload model.
   void set_utilization(Utilization u) {
-    *utilization_ = u.fraction();
-    *power_valid_ = 0;
+    cols_.utilization[slot_] = u.fraction();
+    cols_.power_valid[slot_] = 0;
   }
-  [[nodiscard]] Utilization utilization() const { return Utilization{*utilization_}; }
+  [[nodiscard]] Utilization utilization() const {
+    return Utilization{cols_.utilization[slot_]};
+  }
 
   /// Die temperature feedback for the leakage term.
   void set_die_temperature(Celsius t) {
-    *die_temperature_ = t.value();
-    *power_valid_ = 0;
+    cols_.die_temperature[slot_] = t.value();
+    cols_.power_valid[slot_] = 0;
   }
 
   /// Instantaneous electrical power at the current operating point. The node
@@ -203,18 +205,19 @@ class CpuDevice {
   /// counters), so the value is memoized until an input changes; injection
   /// changes are tracked through the injector's generation counter.
   [[nodiscard]] Watts power() const {
-    if (*power_valid_ == 0 || *power_gen_ != idle_injector_.generation()) {
+    if (cols_.power_valid[slot_] == 0 ||
+        cols_.power_gen[slot_] != idle_injector_.generation()) {
       recompute_power();
     }
-    return Watts{*power_cache_};
+    return Watts{cols_.power_cache[slot_]};
   }
 
   /// Number of completed frequency transitions since construction.
-  [[nodiscard]] std::uint64_t transition_count() const { return *transitions_; }
+  [[nodiscard]] std::uint64_t transition_count() const { return cols_.transitions[slot_]; }
 
   /// Total execution stall accumulated from transitions.
   [[nodiscard]] Seconds transition_stall_total() const {
-    return Seconds{static_cast<double>(*transitions_) * params_.transition_stall.value()};
+    return Seconds{static_cast<double>(transition_count()) * params_.transition_stall.value()};
   }
 
   /// Work executed during `dt` at the current frequency and utilization, in
@@ -222,7 +225,7 @@ class CpuDevice {
   /// this to advance application progress. Accounts for PROCHOT throttling
   /// and forced-idle injection.
   [[nodiscard]] double work_capacity(Seconds dt) const {
-    return effective_frequency().value() * *utilization_ * dt.value() *
+    return effective_frequency().value() * cols_.utilization[slot_] * dt.value() *
            idle_injector_.throughput_factor();
   }
 
@@ -240,77 +243,60 @@ class CpuDevice {
 
   /// Advances the counter block by `dt` at the current operating point.
   void advance_counters(Seconds dt) {
-    advance_cpu_counters(params_, effective_frequency().value(), *utilization_,
-                         idle_injector_.throughput_factor(), power().value(), dt.value(), *aperf_,
-                         *mperf_, *energy_uj_, *aperf_frac_, *mperf_frac_, *energy_frac_);
+    advance_cpu_counters(params_, effective_frequency().value(), cols_.utilization[slot_],
+                         idle_injector_.throughput_factor(), power().value(), dt.value(),
+                         cols_.aperf[slot_], cols_.mperf[slot_], cols_.energy_uj[slot_],
+                         cols_.aperf_frac[slot_], cols_.mperf_frac[slot_],
+                         cols_.energy_frac[slot_]);
   }
 
   /// APERF-style counter: cycles actually delivered (frequency, throttling,
   /// idle injection and utilization all fold in).
-  [[nodiscard]] std::uint64_t aperf() const { return *aperf_; }
+  [[nodiscard]] std::uint64_t aperf() const { return cols_.aperf[slot_]; }
 
   /// MPERF-style counter: cycles at the nominal (max) frequency regardless
   /// of load — the time base. aperf/mperf deltas give delivered speed.
-  [[nodiscard]] std::uint64_t mperf() const { return *mperf_; }
+  [[nodiscard]] std::uint64_t mperf() const { return cols_.mperf[slot_]; }
 
   /// RAPL-style accumulated package energy in microjoules.
-  [[nodiscard]] std::uint64_t energy_uj() const { return *energy_uj_; }
+  [[nodiscard]] std::uint64_t energy_uj() const { return cols_.energy_uj[slot_]; }
 
   /// Overwrites the counter block (test / fault-injection hook) — e.g. to
   /// place the energy counter just below a RAPL wrap boundary so wraparound
   /// handling can be exercised without simulating hours of runtime.
   void preset_counters(std::uint64_t aperf, std::uint64_t mperf, std::uint64_t energy_uj) {
-    *aperf_ = aperf;
-    *mperf_ = mperf;
-    *energy_uj_ = energy_uj;
-    *aperf_frac_ = 0.0;
-    *mperf_frac_ = 0.0;
-    *energy_frac_ = 0.0;
+    cols_.aperf[slot_] = aperf;
+    cols_.mperf[slot_] = mperf;
+    cols_.energy_uj[slot_] = energy_uj;
+    cols_.aperf_frac[slot_] = 0.0;
+    cols_.mperf_frac[slot_] = 0.0;
+    cols_.energy_frac[slot_] = 0.0;
   }
 
   [[nodiscard]] const CpuParams& params() const { return params_; }
 
  private:
   void recompute_power() const {
-    *power_cache_ = cpu_power_w(params_, *pstate_, *utilization_, *die_temperature_,
-                                thermal_throttled(), idle_injector_.dynamic_power_factor(),
-                                idle_injector_.leakage_power_factor());
-    *power_valid_ = 1;
-    *power_gen_ = idle_injector_.generation();
+    cols_.power_cache[slot_] =
+        cpu_power_w(params_, cols_.pstate[slot_], cols_.utilization[slot_],
+                    cols_.die_temperature[slot_], thermal_throttled(),
+                    idle_injector_.dynamic_power_factor(), idle_injector_.leakage_power_factor());
+    cols_.power_valid[slot_] = 1;
+    cols_.power_gen[slot_] = idle_injector_.generation();
   }
 
+  /// What a standalone CPU owns: one-slot CPU and injector columns.
+  struct Standalone {
+    CpuColumns cpu{1};
+    IdleColumns idle{1};
+  };
+  CpuDevice(CpuParams params, std::unique_ptr<Standalone> owned);
+
   CpuParams params_;
+  std::unique_ptr<Standalone> owned_;  // set only for a standalone CPU
+  CpuColumns& cols_;
+  std::size_t slot_;
   IdleInjector idle_injector_;
-  // Hot state defaults to inline storage; bind_state() repoints it into
-  // FleetState SoA slots without changing behaviour.
-  std::uint32_t pstate_storage_ = 0;
-  double utilization_storage_ = 0.0;
-  double die_temperature_storage_ = 40.0;
-  double power_cache_storage_ = 0.0;
-  std::uint8_t power_valid_storage_ = 0;
-  std::uint64_t power_gen_storage_ = 0;
-  std::uint8_t throttled_storage_ = 0;
-  std::uint64_t transitions_storage_ = 0;
-  std::uint64_t aperf_storage_ = 0;
-  std::uint64_t mperf_storage_ = 0;
-  std::uint64_t energy_uj_storage_ = 0;
-  double aperf_frac_storage_ = 0.0;
-  double mperf_frac_storage_ = 0.0;
-  double energy_frac_storage_ = 0.0;
-  std::uint32_t* pstate_ = &pstate_storage_;
-  double* utilization_ = &utilization_storage_;
-  double* die_temperature_ = &die_temperature_storage_;
-  double* power_cache_ = &power_cache_storage_;
-  std::uint8_t* power_valid_ = &power_valid_storage_;
-  std::uint64_t* power_gen_ = &power_gen_storage_;
-  std::uint8_t* throttled_ = &throttled_storage_;
-  std::uint64_t* transitions_ = &transitions_storage_;
-  std::uint64_t* aperf_ = &aperf_storage_;
-  std::uint64_t* mperf_ = &mperf_storage_;
-  std::uint64_t* energy_uj_ = &energy_uj_storage_;
-  double* aperf_frac_ = &aperf_frac_storage_;
-  double* mperf_frac_ = &mperf_frac_storage_;
-  double* energy_frac_ = &energy_frac_storage_;
 };
 
 }  // namespace thermctl::hw

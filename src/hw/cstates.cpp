@@ -14,7 +14,17 @@ std::vector<CState> default_cstates() {
   };
 }
 
-IdleInjector::IdleInjector(IdleInjectorParams params) : params_(std::move(params)) {
+IdleInjector::IdleInjector(IdleInjectorParams params)
+    : IdleInjector(std::move(params), std::make_unique<IdleColumns>(1)) {}
+
+IdleInjector::IdleInjector(IdleInjectorParams params, std::unique_ptr<IdleColumns> owned)
+    : IdleInjector(std::move(params), *owned, 0) {
+  owned_ = std::move(owned);
+}
+
+IdleInjector::IdleInjector(IdleInjectorParams params, IdleColumns& columns, std::size_t slot)
+    : params_(std::move(params)), cols_(columns), slot_(slot) {
+  THERMCTL_ASSERT(slot < columns.generation.size(), "idle column slot out of range");
   THERMCTL_ASSERT(!params_.cstates.empty(), "need at least one C-state");
   THERMCTL_ASSERT(params_.period.value() > 0.0, "injection period must be positive");
   THERMCTL_ASSERT(params_.max_fraction > 0.0 && params_.max_fraction <= 0.95,
@@ -31,8 +41,8 @@ void IdleInjector::set_injection(double fraction, std::size_t state) {
   THERMCTL_ASSERT(state < params_.cstates.size(), "C-state index out of range");
   fraction_ = std::clamp(fraction, 0.0, params_.max_fraction);
   state_ = state;
-  ++*generation_;
-  refresh_mirrors();
+  ++cols_.generation[slot_];
+  refresh_factors();
 }
 
 double IdleInjector::throughput_factor() const {

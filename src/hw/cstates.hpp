@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,35 +46,39 @@ struct IdleInjectorParams {
   double max_fraction = 0.5;
 };
 
+/// The injector's hot state, one slot per CPU: the dynamic, leakage and
+/// throughput factors the CPU multiplies into its power and delivered work,
+/// and the generation counter its power memo checks. A fleet holds one
+/// column per field and the fleet sweep reads them directly; a standalone
+/// injector owns a one-slot set. An inactive injector holds exact 1.0s, so
+/// the multiplications are bitwise no-ops whether or not injection is in use.
+struct IdleColumns {
+  /// `n` slots, each at the power-on state: no injection.
+  explicit IdleColumns(std::size_t n)
+      : dynamic_factor(n, 1.0), leakage_factor(n, 1.0), throughput_factor(n, 1.0),
+        generation(n, 0) {}
+
+  std::vector<double> dynamic_factor;
+  std::vector<double> leakage_factor;
+  std::vector<double> throughput_factor;
+  std::vector<std::uint64_t> generation;
+};
+
 /// Duty-cycled forced idle on one CPU. The CpuDevice consults this to scale
 /// its delivered work and power; the sysfs PowerClamp device drives it.
 class IdleInjector {
  public:
+  /// Standalone injector over a one-slot IdleColumns of its own.
   explicit IdleInjector(IdleInjectorParams params = {});
+  /// View over slot `slot` of `columns`.
+  IdleInjector(IdleInjectorParams params, IdleColumns& columns, std::size_t slot);
 
-  // Mirrors may be rebound into fleet-owned SoA arrays (bind_state), so the
-  // injector must not be duplicated with pointers into the old storage.
+  // A view holds a reference into its columns, so it must not be duplicated.
   IdleInjector(const IdleInjector&) = delete;
   IdleInjector& operator=(const IdleInjector&) = delete;
 
   [[nodiscard]] const std::vector<CState>& cstates() const { return params_.cstates; }
   [[nodiscard]] std::size_t cstate_count() const { return params_.cstates.size(); }
-
-  /// Rebinds the injection mirrors (the three factors + the generation
-  /// counter) onto external storage — the FleetState SoA arrays. The sweep
-  /// multiplies the factor arrays into its power/throughput math every step;
-  /// an inactive injector mirrors exact 1.0s, so the multiplications are
-  /// bitwise no-ops and the batched path stays identical to the per-node
-  /// one whether or not injection is in use.
-  void bind_state(double* dynamic_factor, double* leakage_factor, double* throughput_factor,
-                  std::uint64_t* generation) {
-    *generation = *generation_;
-    dyn_factor_ = dynamic_factor;
-    leak_factor_ = leakage_factor;
-    thr_factor_ = throughput_factor;
-    generation_ = generation;
-    refresh_mirrors();
-  }
 
   /// Commands injection of `fraction` of each period spent in C-state
   /// `state` (0-based into cstates()). Fraction is clamped to
@@ -81,8 +86,8 @@ class IdleInjector {
   void set_injection(double fraction, std::size_t state);
   void stop() {
     fraction_ = 0.0;
-    ++*generation_;
-    refresh_mirrors();
+    ++cols_.generation[slot_];
+    refresh_factors();
   }
 
   [[nodiscard]] double fraction() const { return fraction_; }
@@ -102,28 +107,24 @@ class IdleInjector {
 
   /// Bumped on every injection change; lets consumers (the CPU's power
   /// cache) detect staleness without comparing the full injection state.
-  [[nodiscard]] std::uint64_t generation() const { return *generation_; }
+  [[nodiscard]] std::uint64_t generation() const { return cols_.generation[slot_]; }
 
  private:
-  void refresh_mirrors() {
-    *dyn_factor_ = dynamic_power_factor();
-    *leak_factor_ = leakage_power_factor();
-    *thr_factor_ = throughput_factor();
+  IdleInjector(IdleInjectorParams params, std::unique_ptr<IdleColumns> owned);
+
+  /// Stores the current factors into the slot's columns.
+  void refresh_factors() {
+    cols_.dynamic_factor[slot_] = dynamic_power_factor();
+    cols_.leakage_factor[slot_] = leakage_power_factor();
+    cols_.throughput_factor[slot_] = throughput_factor();
   }
 
   IdleInjectorParams params_;
+  std::unique_ptr<IdleColumns> owned_;  // set only for a standalone injector
+  IdleColumns& cols_;
+  std::size_t slot_;
   double fraction_ = 0.0;
   std::size_t state_ = 0;
-  // Mirrors default to inline storage; bind_state() repoints them into
-  // FleetState SoA slots without changing behaviour.
-  double dyn_factor_storage_ = 1.0;
-  double leak_factor_storage_ = 1.0;
-  double thr_factor_storage_ = 1.0;
-  std::uint64_t generation_storage_ = 0;
-  double* dyn_factor_ = &dyn_factor_storage_;
-  double* leak_factor_ = &leak_factor_storage_;
-  double* thr_factor_ = &thr_factor_storage_;
-  std::uint64_t* generation_ = &generation_storage_;
 };
 
 }  // namespace thermctl::hw

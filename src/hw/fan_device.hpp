@@ -15,8 +15,11 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -82,31 +85,34 @@ struct FanParams {
   return p.idle_power.value() + p.max_power.value() * frac * frac * frac;
 }
 
+/// The fan's hot state, one slot per fan: the commanded duty, the rotor
+/// speed and the stuck-rotor fault flag. A fleet holds one column per field
+/// and the fleet sweep reads them directly; a standalone FanDevice owns a
+/// one-slot set.
+struct FanColumns {
+  /// `n` slots, each at the power-on state: 0% duty, rotor at rest, no
+  /// fault.
+  explicit FanColumns(std::size_t n) : duty_pct(n, 0.0), rpm(n, 0.0), stuck(n, 0) {}
+
+  std::vector<double> duty_pct;
+  std::vector<double> rpm;
+  std::vector<std::uint8_t> stuck;
+};
+
 class FanDevice {
  public:
+  /// Standalone fan over a one-slot FanColumns of its own.
   explicit FanDevice(FanParams params = {});
+  /// View over slot `slot` of `columns`.
+  FanDevice(FanParams params, FanColumns& columns, std::size_t slot);
 
-  // Duty and RPM may be rebound into fleet-owned SoA arrays (bind_state), so
-  // the device must not be duplicated with pointers into the old storage.
+  // A view holds a reference into its columns, so it must not be duplicated.
   FanDevice(const FanDevice&) = delete;
   FanDevice& operator=(const FanDevice&) = delete;
 
-  /// Rebinds the rotor state (duty %, RPM, stuck flag) onto external
-  /// storage — the FleetState SoA arrays. Current values carry over; the
-  /// device keeps behaving identically, it just keeps its hot state in the
-  /// fleet arrays.
-  void bind_state(double* duty_pct, double* rpm, std::uint8_t* stuck) {
-    *duty_pct = *duty_pct_;
-    *rpm = *rpm_;
-    *stuck = *stuck_;
-    duty_pct_ = duty_pct;
-    rpm_ = rpm;
-    stuck_ = stuck;
-  }
-
   /// Commands a PWM duty cycle; takes effect through the rotor lag.
-  void set_duty(DutyCycle duty) { *duty_pct_ = duty.percent(); }
-  [[nodiscard]] DutyCycle duty() const { return DutyCycle{*duty_pct_}; }
+  void set_duty(DutyCycle duty) { cols_.duty_pct[slot_] = duty.percent(); }
+  [[nodiscard]] DutyCycle duty() const { return DutyCycle{cols_.duty_pct[slot_]}; }
 
   /// Advances rotor dynamics. First-order lag via the exact discrete update;
   /// the exponential smoothing factor only depends on dt, which the engine
@@ -115,12 +121,13 @@ class FanDevice {
     if (dt.value() != alpha_dt_) {
       recompute_alpha(dt);
     }
-    *rpm_ = fan_rotor_step(params_, *rpm_, duty().percent(), *stuck_ != 0, alpha_);
+    double& rpm = cols_.rpm[slot_];
+    rpm = fan_rotor_step(params_, rpm, duty().percent(), faulted(), alpha_);
   }
 
-  [[nodiscard]] Rpm rpm() const { return Rpm{*rpm_}; }
-  [[nodiscard]] Cfm airflow() const { return Cfm{fan_airflow_cfm(params_, *rpm_)}; }
-  [[nodiscard]] Watts power() const { return Watts{fan_power_w(params_, *rpm_)}; }
+  [[nodiscard]] Rpm rpm() const { return Rpm{cols_.rpm[slot_]}; }
+  [[nodiscard]] Cfm airflow() const { return Cfm{fan_airflow_cfm(params_, cols_.rpm[slot_])}; }
+  [[nodiscard]] Watts power() const { return Watts{fan_power_w(params_, cols_.rpm[slot_])}; }
 
   /// Steady-state RPM for a duty command (see fan_target_rpm).
   [[nodiscard]] Rpm target_rpm(DutyCycle duty) const {
@@ -129,28 +136,24 @@ class FanDevice {
 
   /// Snaps the rotor to its steady state for the current duty (experiment
   /// priming).
-  void settle() { *rpm_ = target_rpm(duty()).value(); }
+  void settle() { cols_.rpm[slot_] = target_rpm(duty()).value(); }
 
   /// Injects a stuck-rotor fault: the fan ignores commands and coasts to a
   /// halt. `clear_fault` restores normal operation.
-  void inject_stuck_fault() { *stuck_ = 1; }
-  void clear_fault() { *stuck_ = 0; }
-  [[nodiscard]] bool faulted() const { return *stuck_ != 0; }
+  void inject_stuck_fault() { cols_.stuck[slot_] = 1; }
+  void clear_fault() { cols_.stuck[slot_] = 0; }
+  [[nodiscard]] bool faulted() const { return cols_.stuck[slot_] != 0; }
 
   [[nodiscard]] const FanParams& params() const { return params_; }
 
  private:
+  FanDevice(FanParams params, std::unique_ptr<FanColumns> owned);
   void recompute_alpha(Seconds dt);
 
   FanParams params_;
-  // Rotor state defaults to inline storage; bind_state() repoints it into a
-  // FleetState SoA slot without changing behaviour.
-  double duty_pct_storage_ = 0.0;
-  double rpm_storage_ = 0.0;
-  std::uint8_t stuck_storage_ = 0;
-  double* duty_pct_ = &duty_pct_storage_;
-  double* rpm_ = &rpm_storage_;
-  std::uint8_t* stuck_ = &stuck_storage_;
+  std::unique_ptr<FanColumns> owned_;  // set only for a standalone fan
+  FanColumns& cols_;
+  std::size_t slot_;
   // dt the cached smoothing factor was built for; NaN compares unequal to
   // every dt, forcing (and validating) the first computation.
   double alpha_dt_ = std::numeric_limits<double>::quiet_NaN();

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -49,26 +51,31 @@ inline void meter_integrate(const PowerMeterParams& p, double dc_component_w, do
   elapsed_seconds += dt;
 }
 
+/// The meter's hot state, one slot per meter: the energy integral and the
+/// time it covers. A fleet holds one column per field and the fleet sweep
+/// integrates into them directly; a standalone PowerMeter owns a one-slot
+/// set.
+struct MeterColumns {
+  /// `n` slots, each at the power-on state: nothing integrated yet.
+  explicit MeterColumns(std::size_t n) : energy_joules(n, 0.0), elapsed_seconds(n, 0.0) {}
+
+  std::vector<double> energy_joules;
+  std::vector<double> elapsed_seconds;
+};
+
 class PowerMeter {
  public:
-  /// `dc_load` returns the instantaneous DC-side component power sum
-  /// (CPU + fan + anything else the node registers).
+  /// Standalone meter over a one-slot MeterColumns of its own. `dc_load`
+  /// returns the instantaneous DC-side component power sum (CPU + fan +
+  /// anything else the node registers).
   PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params = {});
+  /// View over slot `slot` of `columns`.
+  PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params, MeterColumns& columns,
+             std::size_t slot);
 
-  // The integration accumulators may be rebound into fleet-owned SoA arrays
-  // (bind_state), so the meter must not be duplicated with pointers into the
-  // old storage.
+  // A view holds a reference into its columns, so it must not be duplicated.
   PowerMeter(const PowerMeter&) = delete;
   PowerMeter& operator=(const PowerMeter&) = delete;
-
-  /// Rebinds the energy/elapsed accumulators onto external storage
-  /// (FleetState SoA slots). Current values carry over.
-  void bind_state(double* energy_joules, double* elapsed_seconds) {
-    *energy_joules = *energy_joules_;
-    *elapsed_seconds = *elapsed_seconds_;
-    energy_joules_ = energy_joules;
-    elapsed_seconds_ = elapsed_seconds;
-  }
 
   /// Instantaneous AC-side power as the meter would display it.
   [[nodiscard]] Watts read() const;
@@ -86,11 +93,12 @@ class PowerMeter {
   /// integrate() with the DC component sum supplied directly.
   void integrate_with(Seconds dt, Watts dc_component) {
     THERMCTL_ASSERT(dt.value() >= 0.0, "negative integration interval");
-    meter_integrate(params_, dc_component.value(), dt.value(), *energy_joules_, *elapsed_seconds_);
+    meter_integrate(params_, dc_component.value(), dt.value(), cols_.energy_joules[slot_],
+                    cols_.elapsed_seconds[slot_]);
   }
 
   /// Energy accumulated so far (the meter's kWh counter, in joules).
-  [[nodiscard]] Joules energy() const { return Joules{*energy_joules_}; }
+  [[nodiscard]] Joules energy() const { return Joules{cols_.energy_joules[slot_]}; }
 
   /// Average power over the integration window so far.
   [[nodiscard]] Watts average_power() const;
@@ -100,14 +108,14 @@ class PowerMeter {
   [[nodiscard]] const PowerMeterParams& params() const { return params_; }
 
  private:
+  PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params,
+             std::unique_ptr<MeterColumns> owned);
+
   std::function<Watts()> dc_load_;
   PowerMeterParams params_;
-  // Accumulators default to inline storage; bind_state() repoints them into
-  // FleetState SoA slots without changing behaviour.
-  double energy_joules_storage_ = 0.0;
-  double elapsed_seconds_storage_ = 0.0;
-  double* energy_joules_ = &energy_joules_storage_;
-  double* elapsed_seconds_ = &elapsed_seconds_storage_;
+  std::unique_ptr<MeterColumns> owned_;  // set only for a standalone meter
+  MeterColumns& cols_;
+  std::size_t slot_;
 };
 
 }  // namespace thermctl::hw

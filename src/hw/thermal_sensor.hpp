@@ -7,7 +7,10 @@
 // window must ignore, so the sensor model is load-bearing for the evaluation.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -26,28 +29,23 @@ struct SensorParams {
 
 class ThermalSensor {
  public:
+  /// Standalone sensor holding its reading in a one-slot column of its own.
   /// `source` returns the true temperature being measured.
   ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng);
+  /// View holding its reading in slot `slot` of `last_degc`, a column of
+  /// sample-and-hold registers (°C, power-on 0.0) such as a fleet's.
+  ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng,
+                std::vector<double>& last_degc, std::size_t slot);
 
-  // The held reading may be rebound into a fleet-owned SoA array
-  // (bind_state), so the sensor must not be duplicated with a pointer into
-  // the old storage.
+  // A view holds a reference into its column, so it must not be duplicated.
   ThermalSensor(const ThermalSensor&) = delete;
   ThermalSensor& operator=(const ThermalSensor&) = delete;
-
-  /// Rebinds the sample-and-hold register onto external storage — the
-  /// FleetState SoA array of last sensor readings. The current value carries
-  /// over.
-  void bind_state(double* last_degc) {
-    *last_degc = *last_;
-    last_ = last_degc;
-  }
 
   /// Takes a new reading (called on the sampling schedule) and returns it.
   Celsius sample();
 
   /// Most recent reading without resampling (sample-and-hold).
-  [[nodiscard]] Celsius last_reading() const { return Celsius{*last_}; }
+  [[nodiscard]] Celsius last_reading() const { return Celsius{last_[slot_]}; }
 
   /// True once at least one real reading exists. Before that,
   /// `last_reading()` is the constructed 0.0 °C placeholder — callers that
@@ -65,13 +63,15 @@ class ThermalSensor {
   [[nodiscard]] const SensorParams& params() const { return params_; }
 
  private:
+  ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng,
+                std::unique_ptr<std::vector<double>> owned);
+
   std::function<Celsius()> source_;
   SensorParams params_;
   Rng rng_;
-  // Sample-and-hold register: inline storage by default; bind_state()
-  // repoints it into a FleetState SoA slot.
-  double last_storage_ = 0.0;
-  double* last_ = &last_storage_;
+  std::unique_ptr<std::vector<double>> owned_;  // set only for a standalone sensor
+  std::vector<double>& last_;
+  std::size_t slot_;
   bool stuck_ = false;
   bool has_reading_ = false;
 };

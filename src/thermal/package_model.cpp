@@ -29,24 +29,21 @@ PackageModel::PackageModel(const PackageParams& params)
     : PackageModel(params, std::make_unique<Standalone>(params)) {}
 
 PackageModel::PackageModel(const PackageParams& params, std::unique_ptr<Standalone> owned)
-    : PackageModel(params, owned->batch, 0, &owned->airflow_cfm, &owned->airflow_set) {
+    : PackageModel(params, owned->batch, owned->airflow, 0) {
   owned_ = std::move(owned);
 }
 
-PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot,
-                           double* airflow_cfm, std::uint8_t* airflow_set)
-    : params_(params),
-      convection_(params.convection),
-      batch_(batch),
-      slot_(slot),
-      airflow_cfm_(airflow_cfm),
-      airflow_set_(airflow_set) {
+PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, AirflowColumns& airflow,
+                           std::size_t slot)
+    : params_(params), convection_(params.convection), batch_(batch), airflow_(airflow),
+      slot_(slot) {
   // Wiring ids are deterministic (same build order as wire_network); recover
   // them structurally rather than hard-coding indices.
   RcNetwork probe;
   wiring_ = wire_network(params_, probe);
   THERMCTL_ASSERT(batch.matches(probe), "batch was not built from this package wiring");
-  THERMCTL_ASSERT(slot < batch.instance_count(), "batch slot out of range");
+  THERMCTL_ASSERT(slot < batch.instance_count() && slot < airflow.cfm.size(),
+                  "batch slot out of range");
   die_power_cell_ = batch.power_cell(slot, wiring_.die);
   die_temp_cell_ = batch.temperature_cell(slot, wiring_.die);
 }

@@ -8,8 +8,10 @@
 // tens of seconds (the "gradual" behaviour).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/units.hpp"
 #include "thermal/convection.hpp"
@@ -43,26 +45,38 @@ struct PackageWiring {
   EdgeId hs_amb{};
 };
 
+/// The airflow memo PackageModel::set_airflow skips unchanged airflow by,
+/// one slot per package: the last applied CFM and whether one was applied.
+/// A fleet holds one column per field; a standalone package owns a one-slot
+/// set.
+struct AirflowColumns {
+  /// `n` slots, each at the power-on state: no airflow applied yet.
+  explicit AirflowColumns(std::size_t n) : cfm(n, 0.0), set(n, 0) {}
+
+  std::vector<double> cfm;
+  std::vector<std::uint8_t> set;
+};
+
 /// The die—heatsink—ambient RC model with fan-speed-dependent convection on
 /// the heatsink-ambient edge.
 ///
 /// A PackageModel is a *view* onto one instance column of an RcBatch built
-/// by make_batch, plus the airflow memo cells that let set_airflow skip
-/// unchanged airflow. In a cluster the batch and the memo cells belong to
-/// FleetState; a standalone PackageModel owns a one-instance batch and its
-/// memo and views slot 0 — the same arithmetic either way.
+/// by make_batch, plus the same slot of the AirflowColumns memo that lets
+/// set_airflow skip unchanged airflow. In a cluster the batch and the memo
+/// columns belong to FleetState; a standalone PackageModel owns a
+/// one-instance batch and a one-slot memo and views slot 0 — the same
+/// arithmetic either way.
 class PackageModel {
  public:
   /// Standalone package: a one-instance batch of its own.
   explicit PackageModel(const PackageParams& params);
-  /// View onto instance `slot` of `batch`, whose airflow memo (last applied
-  /// CFM + applied flag) lives in `airflow_cfm` / `airflow_set`. The batch
-  /// must have been built by `make_batch(params, ...)` so the wiring ids
-  /// line up.
-  PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot,
-               double* airflow_cfm, std::uint8_t* airflow_set);
+  /// View onto instance `slot` of `batch` and slot `slot` of `airflow`. The
+  /// batch must have been built by `make_batch(params, ...)` so the wiring
+  /// ids line up.
+  PackageModel(const PackageParams& params, RcBatch& batch, AirflowColumns& airflow,
+               std::size_t slot);
 
-  // A view holds pointers into its batch and memo cells, so it must not be
+  // A view holds pointers into its batch and memo columns, so it must not be
   // duplicated. Callers build packages in place (prvalue construction
   // elides; no move needed).
   PackageModel(const PackageModel&) = delete;
@@ -82,11 +96,11 @@ class PackageModel {
   /// law is only re-evaluated when the airflow actually moved — the fan's
   /// rotor settles between duty changes, making steady steps free.
   void set_airflow(Cfm v) {
-    if (*airflow_set_ != 0 && v.value() == *airflow_cfm_) {
+    if (airflow_.set[slot_] != 0 && v.value() == airflow_.cfm[slot_]) {
       return;
     }
-    *airflow_cfm_ = v.value();
-    *airflow_set_ = 1;
+    airflow_.cfm[slot_] = v.value();
+    airflow_.set[slot_] = 1;
     batch_.set_resistance(slot_, wiring_.hs_amb, convection_.resistance(v));
   }
   /// Chassis inlet temperature (hot-spot / HVAC scenarios).
@@ -110,7 +124,7 @@ class PackageModel {
   [[nodiscard]] Celsius ambient_temperature() const {
     return batch_.temperature(slot_, wiring_.ambient);
   }
-  [[nodiscard]] Cfm airflow() const { return Cfm{*airflow_cfm_}; }
+  [[nodiscard]] Cfm airflow() const { return Cfm{airflow_.cfm[slot_]}; }
   [[nodiscard]] Watts cpu_power() const { return batch_.power(slot_, wiring_.die); }
 
   /// Steady-state die temperature for a hypothetical (power, airflow) point —
@@ -121,13 +135,12 @@ class PackageModel {
   [[nodiscard]] const PackageParams& params() const { return params_; }
 
  private:
-  /// What a standalone package owns: a one-instance batch and its memo
-  /// cells.
+  /// What a standalone package owns: a one-instance batch and a one-slot
+  /// airflow memo.
   struct Standalone {
     explicit Standalone(const PackageParams& params) : batch(make_batch(params, 1)) {}
     RcBatch batch;
-    double airflow_cfm = 0.0;
-    std::uint8_t airflow_set = 0;
+    AirflowColumns airflow{1};
   };
   PackageModel(const PackageParams& params, std::unique_ptr<Standalone> owned);
 
@@ -135,14 +148,13 @@ class PackageModel {
   ConvectionModel convection_;
   std::unique_ptr<Standalone> owned_;  // set only for a standalone package
   RcBatch& batch_;
+  AirflowColumns& airflow_;
   std::size_t slot_;
   PackageWiring wiring_{};
   // Cells for this view's fixed (slot, node) coordinates, validated once in
   // the constructor (see RcBatch::power_cell).
   double* die_power_cell_;
   const double* die_temp_cell_;
-  double* airflow_cfm_;
-  std::uint8_t* airflow_set_;
 };
 
 }  // namespace thermctl::thermal

@@ -6,9 +6,9 @@
 // API (CpuDevice, FanDevice, Adt7467, PowerMeter, PackageModel), in the
 // per-node order of the original. The node-level scalars that have no device
 // (utilization latch, halt and PROCHOT state, jiffy counters, BMC override)
-// are read and written through the node's FleetState slot. FleetSweep's
-// contract is bitwise agreement with this reference under the same call
-// sequence.
+// are read and written through the node's slot of the fleet's NodeColumns.
+// FleetSweep's contract is bitwise agreement with this reference under the
+// same call sequence.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +24,9 @@ namespace thermctl::cluster {
 /// `dt` seconds.
 inline void reference_node_step(Node& node, FleetState& fleet, std::size_t slot,
                                 const NodeParams& params, Seconds dt) {
-  double& util = *fleet.util_slot(slot);
-  std::uint8_t& halted = *fleet.halted_slot(slot);
+  NodeColumns& columns = fleet.node;
+  double& util = columns.util[slot];
+  std::uint8_t& halted = columns.halted[slot];
   hw::CpuDevice& cpu = node.cpu();
   hw::FanDevice& fan = node.fan();
   hw::Adt7467& chip = node.fan_chip();
@@ -38,8 +39,8 @@ inline void reference_node_step(Node& node, FleetState& fleet, std::size_t slot,
   cpu.set_die_temperature(package.die_temperature());
 
   // The BMC override wins over the chip's PWM pin.
-  fan.set_duty(*fleet.bmc_override_set_slot(slot) != 0
-                   ? DutyCycle{*fleet.bmc_override_duty_slot(slot)}
+  fan.set_duty(columns.bmc_override_set[slot] != 0
+                   ? DutyCycle{columns.bmc_override_duty[slot]}
                    : chip.output_duty());
   fan.step(dt);
 
@@ -55,7 +56,7 @@ inline void reference_node_step(Node& node, FleetState& fleet, std::size_t slot,
   cpu.advance_counters(dt);
 
   if (cpu.thermal_throttled()) {
-    *fleet.prochot_seconds_slot(slot) += dt.value();
+    columns.prochot_seconds[slot] += dt.value();
   }
   const ProtectionParams& prot = params.protection;
   if (prot.critical_enabled && die >= prot.critical && halted == 0) {
@@ -64,21 +65,21 @@ inline void reference_node_step(Node& node, FleetState& fleet, std::size_t slot,
   if (prot.prochot_enabled) {
     if (!cpu.thermal_throttled() && die >= prot.prochot) {
       cpu.set_thermal_throttle(true);
-      ++*fleet.prochot_events_slot(slot);
+      ++columns.prochot_events[slot];
     } else if (cpu.thermal_throttled() && die <= prot.prochot - prot.prochot_hysteresis) {
       cpu.set_thermal_throttle(false);
     }
   }
 
   // /proc/stat accounting at USER_HZ with fractional carry.
-  double& rem_busy = fleet.jiffy_rem_busy_data()[slot];
-  double& rem_total = fleet.jiffy_rem_total_data()[slot];
+  double& rem_busy = columns.jiffy_rem_busy[slot];
+  double& rem_total = columns.jiffy_rem_total[slot];
   rem_busy += util * dt.value() * 100.0;
   rem_total += dt.value() * 100.0;
   const auto busy_whole = static_cast<std::uint64_t>(rem_busy);
   const auto total_whole = static_cast<std::uint64_t>(rem_total);
-  *fleet.busy_jiffies_slot(slot) += busy_whole;
-  *fleet.total_jiffies_slot(slot) += total_whole;
+  columns.busy_jiffies[slot] += busy_whole;
+  columns.total_jiffies[slot] += total_whole;
   rem_busy -= static_cast<double>(busy_whole);
   rem_total -= static_cast<double>(total_whole);
 }

@@ -256,12 +256,12 @@ TEST(FleetState, DeviceStateLivesInFleetArrays) {
   // Writing through the Node API must be visible in the SoA slot and vice
   // versa — the device is a view, not a copy.
   rack.node(1).fan().set_duty(DutyCycle{63.0});
-  EXPECT_EQ(*fleet->fan_duty_slot(1), 63.0);
-  *fleet->fan_duty_slot(1) = 28.0;
+  EXPECT_EQ(fleet->fan.duty_pct[1], 63.0);
+  fleet->fan.duty_pct[1] = 28.0;
   EXPECT_EQ(rack.node(1).fan().duty().percent(), 28.0);
 
   rack.node(2).sample_sensor();
-  EXPECT_EQ(*fleet->sensor_last_slot(2), rack.node(2).sensor_reading().value());
+  EXPECT_EQ(fleet->sensor_last[2], rack.node(2).sensor_reading().value());
 
   // The batch column is the package's temperature storage.
   const auto& wiring = fleet->wiring();

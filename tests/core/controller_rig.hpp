@@ -3,7 +3,9 @@
 // so tests can script exact thermal scenarios without running the RC model.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/sim_time.hpp"
 #include "hw/adt7467.hpp"
@@ -37,6 +39,18 @@ struct ControllerRig {
 
   explicit ControllerRig(hw::SensorParams sensor_params = quiet_sensor())
       : sensor{[this] { return Celsius{truth}; }, sensor_params, Rng{1}} {
+    wire();
+  }
+
+  /// A rig whose sensor holds its reading in slot `slot` of `row` (a
+  /// fleet-style sample-and-hold column) instead of a column of its own.
+  ControllerRig(hw::SensorParams sensor_params, std::vector<double>& row, std::size_t slot)
+      : sensor{[this] { return Celsius{truth}; }, sensor_params, Rng{1}, row, slot} {
+    wire();
+  }
+
+  /// Probes the chip and mounts hwmon and cpufreq over the devices.
+  void wire() {
     bus.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip);
     if (driver.probe() != sysfs::DriverStatus::kOk) {
       abort();

@@ -34,7 +34,8 @@ hw::SensorParams fine_sensor() {
 
 /// `n` rigs whose sensors hold their readings in one contiguous row — the
 /// layout FleetState gives a bank — plus `n` standalone twins (same sensor
-/// params and RNG seed) that keep their own inline storage.
+/// params and RNG seed) that each hold their reading in a column of their
+/// own.
 struct LatchedRigs {
   std::vector<double> row;
   std::vector<std::unique_ptr<ControllerRig>> bank;
@@ -42,8 +43,7 @@ struct LatchedRigs {
 
   explicit LatchedRigs(std::size_t n) : row(n, 0.0) {
     for (std::size_t i = 0; i < n; ++i) {
-      bank.push_back(std::make_unique<ControllerRig>(fine_sensor()));
-      bank.back()->sensor.bind_state(&row[i]);
+      bank.push_back(std::make_unique<ControllerRig>(fine_sensor(), row, i));
       solo.push_back(std::make_unique<ControllerRig>(fine_sensor()));
     }
   }
