@@ -281,7 +281,6 @@ TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   EXPECT_LT(large_per_node, 512.0);
 }
 
-
 /// Standalone devices wired the way a Node wires its own: the chip probed
 /// (manual behaviour) and restored to automatic mode, the fan started at the
 /// chip's curve for the ambient die, the sensor on the package die with the
