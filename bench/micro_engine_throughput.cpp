@@ -11,7 +11,9 @@
 //      cluster, per-node unified controllers, synthetic loads) at 16 to
 //      100k nodes under a fixed node-step budget; reports steps/sec,
 //      node-steps/sec and bytes/node (exact SoA footprint from FleetState
-//      plus the process-RSS delta across rig construction) per point.
+//      plus the process-RSS delta across rig construction) per point. When
+//      a point runs on more than one engine worker it is measured again at
+//      1 worker, and the point reports that rate and its speedup over it.
 //   3. parallel sweep runtime: an 8-point Pp sweep executed serially
 //      (1 worker) and in parallel (hardware workers) through
 //      runtime::run_sweep; reports the wall-clock speedup and verifies the
@@ -206,6 +208,10 @@ struct ScalePoint {
   double node_steps_per_sec = 0.0;
   double fleet_bytes_per_node = 0.0;
   double rss_bytes_per_node = 0.0;
+  // The same point at 1 engine worker (this point's own rate when it ran on
+  // one worker).
+  double node_steps_per_sec_1_worker = 0.0;
+  double speedup_vs_1_worker = 1.0;
 };
 
 /// One ladder point: fleet-backed cluster + per-node unified controllers +
@@ -407,12 +413,16 @@ int main(int argc, char** argv) {
     if (n > max_scale) {
       continue;
     }
-    const ScalePoint p = measure_scale(n, engine_workers);
+    ScalePoint p = measure_scale(n, engine_workers);
+    p.node_steps_per_sec_1_worker =
+        p.engine_workers > 1 ? measure_scale(n, 1).node_steps_per_sec : p.node_steps_per_sec;
+    p.speedup_vs_1_worker = p.node_steps_per_sec / p.node_steps_per_sec_1_worker;
     std::printf("    %7zu nodes: %8.0f steps/s, %11.0f node-steps/s, "
                 "%4.0f B/node SoA, %6.0f B/node RSS, build %.2fs, run %.2fs"
-                " (%zu workers)\n",
+                " (%zu workers, %.2fx 1 worker)\n",
                 p.nodes, p.steps_per_sec, p.node_steps_per_sec, p.fleet_bytes_per_node,
-                p.rss_bytes_per_node, p.build_wall_s, p.wall_s, p.engine_workers);
+                p.rss_bytes_per_node, p.build_wall_s, p.wall_s, p.engine_workers,
+                p.speedup_vs_1_worker);
     ladder.push_back(p);
   }
 
@@ -479,7 +489,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      \"steps_per_sec\": %.1f,\n", p.steps_per_sec);
     std::fprintf(f, "      \"node_steps_per_sec\": %.1f,\n", p.node_steps_per_sec);
     std::fprintf(f, "      \"fleet_bytes_per_node\": %.1f,\n", p.fleet_bytes_per_node);
-    std::fprintf(f, "      \"rss_bytes_per_node\": %.1f\n", p.rss_bytes_per_node);
+    std::fprintf(f, "      \"rss_bytes_per_node\": %.1f,\n", p.rss_bytes_per_node);
+    std::fprintf(f, "      \"node_steps_per_s_1_worker\": %.1f,\n",
+                 p.node_steps_per_sec_1_worker);
+    std::fprintf(f, "      \"speedup_vs_1_worker\": %.3f\n", p.speedup_vs_1_worker);
     std::fprintf(f, "    }%s\n", i + 1 < ladder.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -4,6 +4,7 @@
 
 #include "cluster/coordinator/coordinator.hpp"
 #include "common/assert.hpp"
+#include "runtime/shard_scope.hpp"
 
 namespace thermctl::cluster {
 
@@ -62,6 +63,9 @@ void Engine::set_node_load(std::size_t i, const workload::TraceLoad* load) {
 
 void Engine::set_node_load_fn(std::size_t i, std::function<Utilization(SimTime)> load) {
   THERMCTL_ASSERT(i < cluster_.size(), "node index out of range");
+  if (static_cast<bool>(load) != static_cast<bool>(node_loads_[i])) {
+    node_load_count_ = load ? node_load_count_ + 1 : node_load_count_ - 1;
+  }
   node_loads_[i] = std::move(load);
 }
 
@@ -167,10 +171,11 @@ ActivityCode Engine::activity_of_node(std::size_t i) const {
 }
 
 void Engine::record_sample() {
-  recorder_.stamp(now_.seconds());
   // Every recorded field is fleet-resident (or, for the wall watts, resolved
-  // by the sweep with Node::wall_power()'s exact memo semantics), so the
-  // recording loop streams arrays instead of walking Node objects.
+  // by the sweep with Node::wall_power()'s exact memo semantics, whose memo
+  // is the node's own slot), so each shard streams its node range of the
+  // arrays into its slots of the new row.
+  const MetricsRecorder::Row row = recorder_.append_row(now_.seconds());
   FleetSweep& sweep = cluster_.sweep();
   FleetState& fleet = *cluster_.fleet();
   const double* die = fleet.batch().temperature_cell(0, fleet.wiring().die);
@@ -178,11 +183,41 @@ void Engine::record_sample() {
   const double* duty = fleet.fan.duty_pct.data();
   const double* rpm = fleet.fan.rpm.data();
   const double* util = fleet.node.util.data();
-  for (std::size_t i = 0; i < cluster_.size(); ++i) {
-    recorder_.sample(now_.seconds(), i, die[i], sensor[i], duty[i], rpm[i],
-                     sweep.nominal_freq_ghz(i), sweep.wall_power_w(i), util[i],
-                     activity_of_node(i));
+  for_each_range(cluster_.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      row.set(i, die[i], sensor[i], duty[i], rpm[i], sweep.nominal_freq_ghz(i),
+              sweep.wall_power_w(i), util[i], activity_of_node(i));
+    }
+  });
+}
+
+void Engine::for_each_range(std::size_t n, const runtime::RangeFn& fn) {
+  // The engine's partition: contiguous ranges of n / shards, the remainder
+  // spread one each over the first shards. The pool runs all but the last
+  // range, which runs inline (the engine thread works instead of waiting);
+  // wait_idle is the barrier.
+  const std::size_t shards = std::min(shards_, n);
+  if (shards <= 1) {
+    if (n > 0) {
+      fn(0, n);
+    }
+    return;
   }
+  const std::size_t base = n / shards;
+  const std::size_t rem = n % shards;
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s + 1 < shards; ++s) {
+    const std::size_t end = begin + base + (s < rem ? 1 : 0);
+    pool_->submit([&fn, begin, end] { fn(begin, end); });
+    begin = end;
+  }
+  try {
+    fn(begin, n);
+  } catch (...) {
+    pool_->wait_idle();  // the queued ranges still reference fn
+    throw;
+  }
+  pool_->wait_idle();
 }
 
 std::uint64_t Engine::step_shard(std::size_t begin, std::size_t end, Seconds dt,
@@ -190,8 +225,7 @@ std::uint64_t Engine::step_shard(std::size_t begin, std::size_t end, Seconds dt,
   // Device/OS pre-pass, the batched RC solve over the shard's contiguous SoA
   // slice, the post-pass, then sensor sampling on each node's own schedule.
   // Every pass only touches its own nodes' state, so shards never race.
-  // Samples are counted locally; the caller reduces shard counts in shard
-  // order so metrics stay deterministic.
+  // Samples are counted locally; the caller sums the shards' counts.
   FleetSweep& sweep = cluster_.sweep();
   sweep.pre_range(begin, end, dt);
   cluster_.fleet()->batch().step_range(dt, begin, end);
@@ -218,13 +252,21 @@ RunResult Engine::run() {
   // the load fill writes them directly instead of bouncing through Nodes.
   double* util = cluster_.fleet()->node.util.data();
   const std::uint8_t* halted = cluster_.fleet()->node.halted.data();
-  const std::size_t shards = resolved_workers();
-  if (shards > 1 && pool_ == nullptr) {
-    // Pool threads only run step_shard on disjoint node ranges; the barrier
-    // (wait_idle) sits at the step's coupling point.
-    pool_ = std::make_unique<runtime::ThreadPool>(shards - 1);
+  shards_ = resolved_workers();
+  if (shards_ > 1 && pool_ == nullptr) {
+    // Pool threads only run ranges of disjoint nodes; the barrier
+    // (wait_idle) sits at each phase's coupling point.
+    pool_ = std::make_unique<runtime::ThreadPool>(shards_ - 1);
   }
-  shard_samples_.assign(shards, 0);
+  // Controller banks reach the partition through the shard scope: their
+  // family ticks run over the same ranges as the physics phase.
+  const runtime::Partition partition = [this](std::size_t n, const runtime::RangeFn& fn) {
+    for_each_range(n, fn);
+  };
+  std::optional<runtime::ShardScope> scope;
+  if (shards_ > 1) {
+    scope.emplace(partition);
+  }
   std::optional<Seconds> completion;
   // done() scans every rank; track it across the loop instead of re-asking
   // twice per step.
@@ -275,39 +317,27 @@ RunResult Engine::run() {
       // One batched call fills the row; per-node functions override below.
       fleet_load_(now_, util, halted, node_count);
     }
-    for (std::size_t i = 0; i < node_count; ++i) {
-      if (node_loads_[i]) {
-        util[i] = halted[i] != 0 ? 0.0 : node_loads_[i](now_).fraction();
-      } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
-        util[i] = halted[i] != 0 ? 0.0 : 0.02;  // job exited
+    // Per-node functions, and the idle load of a rank whose job exited; with
+    // neither there is nothing to scan for.
+    if (node_load_count_ > 0 || app_ != nullptr) {
+      for (std::size_t i = 0; i < node_count; ++i) {
+        if (node_loads_[i]) {
+          util[i] = halted[i] != 0 ? 0.0 : node_loads_[i](now_).fraction();
+        } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
+          util[i] = halted[i] != 0 ? 0.0 : 0.02;  // job exited
+        }
       }
     }
 
     // 2. Physics, per-node and sharded BSP-style: contiguous node ranges
-    // (contiguous SoA slices), one barrier per step at the join.
+    // (contiguous SoA slices), one barrier per step at the join. Sample
+    // counts are integers, so the order shards add them in cannot matter.
     SimTime after = now_;
     after.advance_us(static_cast<std::int64_t>(dt.value() * 1e6));
-    if (shards == 1) {
-      shard_samples_[0] = step_shard(0, node_count, dt, after);
-    } else {
-      const std::size_t base = node_count / shards;
-      const std::size_t rem = node_count % shards;
-      std::size_t begin = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const std::size_t len = base + (s < rem ? 1 : 0);
-        const std::size_t end = begin + len;
-        if (s + 1 == shards) {
-          // Last shard runs inline: the main thread works instead of waiting.
-          shard_samples_[s] = step_shard(begin, end, dt, after);
-        } else {
-          pool_->submit([this, s, begin, end, dt, after] {
-            shard_samples_[s] = step_shard(begin, end, dt, after);
-          });
-        }
-        begin = end;
-      }
-      pool_->wait_idle();  // BSP barrier: all shards joined before coupling
-    }
+    std::atomic<std::uint64_t> samples{0};
+    for_each_range(node_count, [&](std::size_t begin, std::size_t end) {
+      samples.fetch_add(step_shard(begin, end, dt, after), std::memory_order_relaxed);
+    });
     now_ = after;
 
     // 3. Room coupling, serially at the barrier: the room mixes under the
@@ -337,11 +367,7 @@ RunResult Engine::run() {
       m_steps_->inc();
     }
     if (m_sensor_samples_ != nullptr) {
-      // Reduce per-shard counts in shard order (deterministic, and identical
-      // to the serial engine's per-sample increments).
-      for (std::size_t s = 0; s < shards; ++s) {
-        m_sensor_samples_->add(shard_samples_[s]);
-      }
+      m_sensor_samples_->add(samples.load(std::memory_order_relaxed));
     }
 
     // 4. Control plane, serially at the barrier: agents report, racks deal
@@ -352,7 +378,8 @@ RunResult Engine::run() {
       plane_->on_round(now_);
     }
 
-    // 5. Controller ticks.
+    // 5. Controller ticks. A controller bank's family tick spreads over the
+    // shard scope installed above; every other task runs here, serially.
     for (PeriodicTask& task : tasks_) {
       while (task.schedule.due(now_)) {
         task.fn(now_);
@@ -362,7 +389,7 @@ RunResult Engine::run() {
       }
     }
 
-    // 6. Metrics.
+    // 6. Metrics, each shard filling its node range of the row.
     while (record_schedule_.due(now_)) {
       record_sample();
       if (m_record_samples_ != nullptr) {

@@ -20,15 +20,18 @@
 // and the room's power sum read and write those arrays directly — no
 // per-node object walk.
 //
-// Sharding: with `workers > 1` the per-node physics + sensor-sampling phase
-// of each step is partitioned into contiguous node shards (contiguous SoA
-// slices) executed on a ThreadPool, BSP style — one barrier per step, placed
-// exactly at the coupling points. Everything that couples nodes (app
-// stepping before the shard phase; the room/ambient power reduction, control
-// plane, controllers and metrics after the barrier) runs serially in
-// node/registration order, and per-shard sample counters are reduced in
-// shard order, so a sharded run is bit-identical to the serial engine
-// (asserted by the differential oracle's sharded-vs-serial pairs).
+// Sharding: with `workers > 1` the per-node phases of each step are
+// partitioned into contiguous node shards (contiguous SoA slices) executed on
+// a ThreadPool, BSP style — a barrier after each phase. The sharded phases
+// are physics + sensor sampling, controller-bank family ticks (which reach
+// the partition through the runtime shard scope the engine installs for the
+// length of run(); see runtime/shard_scope.hpp) and recording. Each reads
+// and writes only its own nodes' state. Everything that couples nodes (app
+// stepping before the physics phase; the room/ambient power reduction and
+// the control plane after it) and every other periodic task runs serially
+// in node/registration order, so a sharded run is bit-identical to the
+// serial engine (asserted by the differential oracle's sharded-vs-serial
+// pairs).
 // Thread-safety: an Engine (and the Cluster/app it drives) belongs to one
 // thread. The first call to run() binds the engine to the calling thread and
 // any later run() from a different thread trips a THERMCTL_ASSERT — catching
@@ -49,6 +52,7 @@
 #include "cluster/room.hpp"
 #include "common/sim_time.hpp"
 #include "obs/metrics_registry.hpp"
+#include "runtime/shard_scope.hpp"
 #include "runtime/thread_pool.hpp"
 #include "workload/app.hpp"
 #include "workload/synthetic.hpp"
@@ -67,9 +71,10 @@ struct EngineConfig {
   /// Keep simulating this long after app completion (lets figures show the
   /// cool-down tail); 0 stops immediately.
   Seconds cooldown{0.0};
-  /// Node shards for the per-step physics/sampling phase: 1 = serial engine
-  /// (no pool), >1 = that many shards on a ThreadPool, 0 = one per hardware
-  /// thread. Results are bit-identical for every value.
+  /// Node shards for the per-step physics/sampling, bank tick and recording
+  /// phases: 1 = serial engine (no pool), >1 = that many shards on a
+  /// ThreadPool, 0 = one per hardware thread. Results are bit-identical for
+  /// every value.
   int workers = 1;
 };
 
@@ -109,7 +114,9 @@ class Engine {
   void attach_plane(ctrl::ControlPlane& plane);
 
   /// Registers a periodic task (controller tick). Tasks fire after sensor
-  /// sampling at the same instant, in registration order.
+  /// sampling at the same instant, in registration order, on the thread that
+  /// runs the engine; a task that calls runtime::for_each_shard (a
+  /// ControlBank family tick) spreads its nodes over the engine's shards.
   void add_periodic(Seconds period, std::function<void(SimTime)> task);
 
   /// Models the in-band cost of a control daemon on node `i`: `per_tick` of
@@ -154,7 +161,7 @@ class Engine {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Shard count the physics phase will actually use (config workers
+  /// Shard count the per-node phases will actually use (config workers
   /// resolved against hardware threads and clamped to the node count).
   [[nodiscard]] std::size_t resolved_workers() const;
 
@@ -169,8 +176,12 @@ class Engine {
   void finalize(RunResult& result) const;
   /// Physics + sampling for nodes [begin, end); `after` is the step's end
   /// time (sampling schedules are checked against it). Returns the number of
-  /// sensor samples taken, for deterministic shard-order reduction.
+  /// sensor samples taken.
   std::uint64_t step_shard(std::size_t begin, std::size_t end, Seconds dt, SimTime after);
+  /// Runs fn(begin, end) over the run's shard partition of [0, n) and
+  /// returns once every range has finished: the one partition routine of the
+  /// physics, tick and recording phases.
+  void for_each_range(std::size_t n, const runtime::RangeFn& fn);
 
   static constexpr std::size_t kNoRank = static_cast<std::size_t>(-1);
 
@@ -182,6 +193,7 @@ class Engine {
   std::vector<std::size_t> node_for_rank_;
   std::vector<std::size_t> rank_of_node_;  // reverse map; kNoRank = vacant
   std::vector<std::function<Utilization(SimTime)>> node_loads_;
+  std::size_t node_load_count_ = 0;  // entries of node_loads_ that are set
   FleetLoadFn fleet_load_;
   std::vector<double> steal_fraction_;  // per node, from in-band overhead
   std::vector<PeriodicTask> tasks_;
@@ -198,9 +210,9 @@ class Engine {
   // Hot-loop scratch, reused every physics step instead of reallocated.
   std::vector<GigaHertz> freqs_scratch_;
   std::vector<Utilization> utils_scratch_;
-  // Shard machinery (only materialized when resolved_workers() > 1).
+  // Shard machinery (the pool is only materialized when resolved_workers() > 1).
+  std::size_t shards_ = 1;  // resolved_workers() of the current run
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::vector<std::uint64_t> shard_samples_;  // per-shard counts, reduced in shard order
   // Set by the first run(); later runs must come from the same thread.
   std::atomic<std::thread::id> owner_thread_{};
   // Cross-thread early-stop flag (see request_stop()).

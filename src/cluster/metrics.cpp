@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/csv.hpp"
+#include "runtime/shard_scope.hpp"
 
 namespace thermctl::cluster {
 
@@ -118,44 +119,49 @@ void RunResult::write_csv(const std::string& path, const std::string& field) con
   }
 }
 
-MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {
-  result_.nodes.resize(node_count);
-  result_.summaries.resize(node_count);
+MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {}
+
+MetricsRecorder::Row MetricsRecorder::append_row(double t_seconds) {
+  times_.push_back(t_seconds);
+  const std::size_t offset = cols_[0].size();
+  Row row;
+  row.node_count_ = node_count_;
+  for (std::size_t f = 0; f < kFieldCount; ++f) {
+    cols_[f].resize(offset + node_count_);
+    row.cols_[f] = cols_[f].data() + offset;
+  }
+  return row;
 }
 
-void MetricsRecorder::stamp(double t_seconds) { result_.times.push_back(t_seconds); }
-
 void MetricsRecorder::reserve(std::size_t samples) {
-  result_.times.reserve(samples);
-  for (std::vector<double>& col : cols_) {
+  times_.reserve(samples);
+  for (Column& col : cols_) {
     col.reserve(samples * node_count_);
   }
 }
 
-void MetricsRecorder::sample(double t_seconds, std::size_t node, double die, double sensor,
-                             double duty, double rpm, double freq_ghz, double power_w,
-                             double util, ActivityCode activity) {
-  (void)t_seconds;
-  // The columnar staging assumes whole fleet rows in node order — exactly
-  // what the engine's recording loop produces.
-  THERMCTL_ASSERT(node == next_node_, "samples must arrive node-major (0..N-1 per round)");
-  next_node_ = (next_node_ + 1 == node_count_) ? 0 : next_node_ + 1;
-  cols_[0].push_back(die);
-  cols_[1].push_back(sensor);
-  cols_[2].push_back(duty);
-  cols_[3].push_back(rpm);
-  cols_[4].push_back(freq_ghz);
-  cols_[5].push_back(power_w);
-  cols_[6].push_back(util);
-  cols_[7].push_back(static_cast<double>(static_cast<int>(activity)));
+void MetricsRecorder::Row::set(std::size_t node, double die, double sensor, double duty,
+                               double rpm, double freq_ghz, double power_w, double util,
+                               ActivityCode activity) const {
+  // The columnar staging is node-major: slot `node` of the row is node
+  // `node`'s sample for this round.
+  THERMCTL_ASSERT(node < node_count_, "sample slot past the fleet row");
+  cols_[0][node] = die;
+  cols_[1][node] = sensor;
+  cols_[2][node] = duty;
+  cols_[3][node] = rpm;
+  cols_[4][node] = freq_ghz;
+  cols_[5][node] = power_w;
+  cols_[6][node] = util;
+  cols_[7][node] = static_cast<double>(static_cast<int>(activity));
 }
 
-void MetricsRecorder::flush_columns() const {
-  if (node_count_ == 0 || cols_[0].empty()) {
-    return;
-  }
-  THERMCTL_ASSERT(cols_[0].size() % node_count_ == 0, "flush mid-row");
-  const std::size_t rows = cols_[0].size() / node_count_;
+RunResult MetricsRecorder::result() const {
+  RunResult result;
+  result.times = times_;
+  result.nodes.resize(node_count_);
+  result.summaries.resize(node_count_);
+  const std::size_t rows = times_.size();
 
   static constexpr std::vector<double> NodeSeries::*kFields[] = {
       &NodeSeries::die_temp, &NodeSeries::sensor_temp, &NodeSeries::duty,
@@ -166,29 +172,28 @@ void MetricsRecorder::flush_columns() const {
   // Blocked transpose: a block of destination series stays cache-resident
   // across all rows while the column side is read in contiguous row spans,
   // so the scatter cost is paid once per element instead of once per record
-  // tick.
-  constexpr std::size_t kBlock = 128;
-  for (std::size_t b0 = 0; b0 < node_count_; b0 += kBlock) {
-    const std::size_t b1 = std::min(node_count_, b0 + kBlock);
-    for (std::size_t i = b0; i < b1; ++i) {
-      for (auto field : kFields) {
-        std::vector<double>& dst = result_.nodes[i].*field;
-        dst.reserve(dst.size() + rows);
+  // tick. Each range writes only its own nodes' series.
+  runtime::for_each_shard(node_count_, [&](std::size_t begin, std::size_t end) {
+    constexpr std::size_t kBlock = 128;
+    for (std::size_t b0 = begin; b0 < end; b0 += kBlock) {
+      const std::size_t b1 = std::min(end, b0 + kBlock);
+      for (std::size_t i = b0; i < b1; ++i) {
+        for (auto field : kFields) {
+          (result.nodes[i].*field).reserve(rows);
+        }
       }
-    }
-    for (std::size_t f = 0; f < kFieldCount; ++f) {
-      const double* col = cols_[f].data();
-      for (std::size_t r = 0; r < rows; ++r) {
-        const double* row = col + r * node_count_;
-        for (std::size_t i = b0; i < b1; ++i) {
-          (result_.nodes[i].*kFields[f]).push_back(row[i]);
+      for (std::size_t f = 0; f < kFieldCount; ++f) {
+        const double* col = cols_[f].data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          const double* row = col + r * node_count_;
+          for (std::size_t i = b0; i < b1; ++i) {
+            (result.nodes[i].*kFields[f]).push_back(row[i]);
+          }
         }
       }
     }
-  }
-  for (std::vector<double>& col : cols_) {
-    col.clear();
-  }
+  });
+  return result;
 }
 
 }  // namespace thermctl::cluster

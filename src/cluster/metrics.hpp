@@ -8,7 +8,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -90,50 +93,77 @@ struct RunResult {
 /// Accumulates samples during a run; the engine owns one.
 ///
 /// Hot-path layout: samples are staged column-major — eight flat arrays, one
-/// per recorded field, appended a fleet-row at a time — because the recording
-/// loop visits every node each round. Appending into per-node series here
-/// would touch 8 x node_count scattered heap buffers per round (at 100k
-/// nodes that is ~800k cache misses every record tick, and it shows up as
-/// ~30% of a fleet-ladder run). The per-node `RunResult::nodes` shape that
-/// everything downstream consumes is materialized once, by a blocked
-/// transpose, the first time result() is read — same values, same order,
+/// per recorded field, grown a whole fleet row at a time — because the
+/// recording loop visits every node each round. Appending into per-node
+/// series here would touch 8 x node_count scattered heap buffers per round
+/// (at 100k nodes that is ~800k cache misses every record tick, and it shows
+/// up as ~30% of a fleet-ladder run). The per-node `RunResult::nodes` shape
+/// that everything downstream consumes is materialized by result(), a
+/// blocked transpose of every round staged so far — same values, same order,
 /// bit-identical output.
 class MetricsRecorder {
+  static constexpr std::size_t kFieldCount = 8;
+
  public:
+  /// One sampling round's slots in the staging columns. Each node's slot is
+  /// written with set(); threads filling disjoint node ranges never touch
+  /// the same element. Valid until the next append_row().
+  class Row {
+   public:
+    void set(std::size_t node, double die, double sensor, double duty, double rpm,
+             double freq_ghz, double power_w, double util,
+             ActivityCode activity = ActivityCode::kNone) const;
+
+   private:
+    friend class MetricsRecorder;
+    std::array<double*, kFieldCount> cols_{};
+    std::size_t node_count_ = 0;
+  };
+
   explicit MetricsRecorder(std::size_t node_count);
 
-  void sample(double t_seconds, std::size_t node, double die, double sensor, double duty,
-              double rpm, double freq_ghz, double power_w, double util,
-              ActivityCode activity = ActivityCode::kNone);
-  /// Appends the shared timestamp (once per sampling round).
-  void stamp(double t_seconds);
+  /// Stamps a sampling round at `t_seconds` and grows every column by one
+  /// whole fleet row, whose slots the caller then fills, every node once.
+  [[nodiscard]] Row append_row(double t_seconds);
 
   /// Pre-sizes the staging columns for `samples` sampling rounds so recording
   /// never reallocates mid-run. A hint: recording past it still works.
   void reserve(std::size_t samples);
 
-  [[nodiscard]] RunResult& result() {
-    flush_columns();
-    return result_;
-  }
-  [[nodiscard]] const RunResult& result() const {
-    flush_columns();
-    return result_;
-  }
+  /// Every round recorded so far as per-node series (summaries sized, zero).
+  /// Nodes are transposed per range through runtime::for_each_shard, so
+  /// inside a sharded engine's run() the shards share the work.
+  [[nodiscard]] RunResult result() const;
 
  private:
-  /// Drains the staged columns into result_.nodes (append, so recording may
-  /// continue afterwards and a later flush picks up where this one left off).
-  void flush_columns() const;
-
-  static constexpr std::size_t kFieldCount = 8;
+  /// Leaves the slots a resize() adds uninitialized: every slot of a row is
+  /// written by the fill that follows append_row(), so zeroing it first
+  /// would be a serial pass over the row (with its first-touch page faults)
+  /// ahead of the sharded one.
+  template <typename T>
+  struct UninitializedGrowth : std::allocator<T> {
+    using value_type = T;
+    UninitializedGrowth() = default;
+    template <typename U>
+    UninitializedGrowth(const UninitializedGrowth<U>&) noexcept {}
+    template <typename U>
+    struct rebind {
+      using other = UninitializedGrowth<U>;
+    };
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Column = std::vector<double, UninitializedGrowth<double>>;
 
   std::size_t node_count_ = 0;
-  std::size_t next_node_ = 0;  // enforced node-major arrival order
-  // Staging is logically part of building result_, so a const result() read
-  // may drain it.
-  mutable std::array<std::vector<double>, kFieldCount> cols_;
-  mutable RunResult result_;
+  std::vector<double> times_;
+  std::array<Column, kFieldCount> cols_;
 };
 
 }  // namespace thermctl::cluster

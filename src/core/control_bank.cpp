@@ -3,11 +3,12 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "runtime/shard_scope.hpp"
 
 namespace thermctl::core {
 
 ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
-    : nodes_(nodes), sensor_last_(sensor_last), readings_(nodes, 0.0) {
+    : nodes_(nodes), sensor_last_(sensor_last) {
   THERMCTL_ASSERT(nodes > 0, "bank needs at least one node");
   THERMCTL_ASSERT(sensor_last != nullptr, "bank needs a sensor row");
   fans_.reserve(nodes);
@@ -50,15 +51,20 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
 
 template <typename Controller>
 void ControlBank::tick_family(std::vector<Controller>& family, SimTime now) {
-  const std::size_t n = family.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Millidegree quantization exactly as the hwmon temp1_input attribute:
-    // lround to long millidegrees, back to degrees.
-    readings_[i] = static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    family[i].on_sample_with(now, Celsius{readings_[i]});
-  }
+  // Each range latches and ticks its own nodes. A tick reads its node's
+  // latched reading and writes only that node's state (its controller, the
+  // node's sysfs/device path, fleet slots, trace ring and event log), so the
+  // ranges may run on different threads; the only shared object a tick can
+  // reach is the Logger, which serializes emission.
+  runtime::for_each_shard(family.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      // Millidegree quantization exactly as the hwmon temp1_input attribute:
+      // lround to long millidegrees, back to degrees.
+      const double reading =
+          static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
+      family[i].on_sample_with(now, Celsius{reading});
+    }
+  });
 }
 
 void ControlBank::tick_fans(SimTime now) { tick_family(fans_, now); }

@@ -6,11 +6,18 @@
 // family (fan / tDVFS / unified) in one vector, each controller owning its
 // own TwoLevelWindow, and ticks the whole family from ONE periodic callback:
 //
-//   1. latch readings[i] = round(sensor_last[i] · 1000) / 1000  — exactly the
+//   1. latch reading = round(sensor_last[i] · 1000) / 1000  — exactly the
 //      millidegree quantization the hwmon temp1_input attribute performs, so
 //      the latched read is bit-identical to a controller's own VFS read;
-//   2. run each controller's on_sample_with(now, readings[i]) in node order —
-//      the same tick logic, same order, as N independent periodics.
+//   2. run controller i's on_sample_with(now, reading) — the same tick logic
+//      as N independent periodics.
+//
+// Both steps run per node range through runtime::for_each_shard: inside a
+// sharded engine's run() each of the engine's shards latches and ticks its
+// own contiguous range on its own thread, and with no shard scope installed
+// (a serial engine, a bank ticked by hand) one range covers the family in
+// node order. A tick reads only its node's latched reading and writes only
+// that node's state, so the results are the same for any partition.
 //
 // The unit tests hold every family tick to bit-identity with standalone
 // controllers reading hwmon temp1_input, on sensors bound into one latched
@@ -68,14 +75,14 @@ class ControlBank {
   /// Checks that `node` is the next dense slot of a family of `size`.
   void check_slot(std::size_t node, std::size_t size) const;
 
-  /// Latches the first `family.size()` sensor readings, then ticks each
-  /// controller of the family in node order on its latched reading.
+  /// Latches each of the first `family.size()` sensor readings and ticks
+  /// that node's controller on it, one shard range at a time
+  /// (runtime::for_each_shard).
   template <typename Controller>
   void tick_family(std::vector<Controller>& family, SimTime now);
 
   std::size_t nodes_ = 0;
   const double* sensor_last_ = nullptr;
-  std::vector<double> readings_;  // per-tick millidegree-quantized latch
   std::vector<DynamicFanController> fans_;
   std::vector<TdvfsDaemon> tdvfs_;
   std::vector<UnifiedController> unified_;

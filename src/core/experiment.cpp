@@ -269,8 +269,9 @@ void build_fan_policy(Rig& rig, const ExperimentConfig& config) {
     }
   }
   if (rig.bank != nullptr && rig.bank->fan_count() > 0) {
-    // One periodic sweeps the whole family in node order, after the fault
-    // campaign's walkers and before the DVFS family.
+    // One periodic sweeps the whole family (over the engine's shards when it
+    // is sharded), after the fault campaign's walkers and before the DVFS
+    // family.
     ControlBank* bank = rig.bank.get();
     rig.engine->add_periodic(config.node_params.sample_period,
                              [bank](SimTime now) { bank->tick_fans(now); });

@@ -156,6 +156,25 @@ TEST(Engine, PerNodeLoadFnOverridesFleetLoad) {
   const RunResult result = engine.run();
   EXPECT_NEAR(result.nodes[0].util.back(), 0.3, 1e-12);
   EXPECT_NEAR(result.nodes[1].util.back(), 0.9, 1e-12);
+
+  // Clearing a node's function hands its row back to the fleet function. A
+  // second clear is a no-op, so the engine still scans for the function set
+  // on node 0 afterwards.
+  Cluster cleared_cluster{2, quiet()};
+  Engine cleared{cleared_cluster, short_run(4.0)};
+  cleared.set_fleet_load_fn([](SimTime, double* util, const std::uint8_t* halted,
+                               std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      util[i] = halted[i] != 0 ? 0.0 : 0.3;
+    }
+  });
+  cleared.set_node_load_fn(1, [](SimTime) { return Utilization{0.9}; });
+  cleared.set_node_load_fn(1, nullptr);
+  cleared.set_node_load_fn(1, nullptr);
+  cleared.set_node_load_fn(0, [](SimTime) { return Utilization{0.7}; });
+  const RunResult again = cleared.run();
+  EXPECT_NEAR(again.nodes[0].util.back(), 0.7, 1e-12);
+  EXPECT_NEAR(again.nodes[1].util.back(), 0.3, 1e-12);
 }
 
 TEST(Engine, RepeatedRunsAppendToRecordedSeries) {

@@ -13,9 +13,9 @@ RunResult sample_result() {
   MetricsRecorder rec{2};
   for (int i = 0; i < 4; ++i) {
     const double t = 0.25 * i;
-    rec.stamp(t);
-    rec.sample(t, 0, 40.0 + i, 40.0 + i, 10.0 * i, 1000.0, 2.4, 100.0, 1.0);
-    rec.sample(t, 1, 42.0 + i, 42.0 + i, 5.0 * i, 900.0, 2.2, 95.0, 0.8);
+    const MetricsRecorder::Row row = rec.append_row(t);
+    row.set(0, 40.0 + i, 40.0 + i, 10.0 * i, 1000.0, 2.4, 100.0, 1.0);
+    row.set(1, 42.0 + i, 42.0 + i, 5.0 * i, 900.0, 2.2, 95.0, 0.8);
   }
   RunResult r = rec.result();
   r.exec_time_s = 219.0;
